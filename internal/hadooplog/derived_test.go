@@ -25,6 +25,19 @@ func TestMetricDims(t *testing.T) {
 	if MetricNamesFor(Kind(99)) != nil {
 		t.Error("unknown kind should return nil")
 	}
+	// The parser asks for the dimension per emitted vector on every node:
+	// it must agree with the name layout and allocate nothing.
+	for _, kind := range []Kind{KindTaskTracker, KindDataNode, Kind(99)} {
+		if got, want := MetricDims(kind), len(MetricNamesFor(kind)); got != want {
+			t.Errorf("MetricDims(%v) = %d, layout has %d names", kind, got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = MetricDims(kind) }); n != 0 {
+			t.Errorf("MetricDims(%v) allocates %.0f times", kind, n)
+		}
+		if p := NewParser(kind); p.dims != MetricDims(kind) {
+			t.Errorf("parser for %v keeps dimension %d, want %d", kind, p.dims, MetricDims(kind))
+		}
+	}
 }
 
 func TestMapStallGrowsForSilentMap(t *testing.T) {

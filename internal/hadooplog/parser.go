@@ -36,6 +36,7 @@ type taskInfo struct {
 type Parser struct {
 	kind   Kind
 	states []State
+	dims   int // MetricDims(kind): states plus derived metrics
 	idx    map[State]int
 
 	tasks      map[string]*taskInfo
@@ -66,6 +67,7 @@ func NewParser(kind Kind) *Parser {
 	return &Parser{
 		kind:       kind,
 		states:     states,
+		dims:       MetricDims(kind),
 		idx:        idx,
 		tasks:      make(map[string]*taskInfo),
 		blockSince: make(map[string]time.Time),
@@ -157,7 +159,7 @@ func (p *Parser) advanceTo(newBucket time.Time) {
 // flushBucket emits the vector for the current bucket: the state counts
 // followed by the derived duration/failure metrics.
 func (p *Parser) flushBucket() {
-	counts := make([]float64, MetricDims(p.kind))
+	counts := make([]float64, p.dims)
 	copy(counts, p.instant)
 	for i := range p.shortLived {
 		counts[i] += p.shortLived[i]

@@ -141,19 +141,28 @@ const (
 	writeBlockGraceSec  = 240
 )
 
-// MetricNamesFor returns the full per-second vector layout for a log kind:
-// the state counts followed by the derived duration/failure metrics.
-func MetricNamesFor(kind Kind) []string {
-	names := StateNamesFor(kind)
+// derivedFor returns the derived metric names appended to a kind's states.
+func derivedFor(kind Kind) []string {
 	switch kind {
 	case KindTaskTracker:
-		return append(names, taskTrackerDerived...)
+		return taskTrackerDerived
 	case KindDataNode:
-		return append(names, dataNodeDerived...)
+		return dataNodeDerived
 	default:
 		return nil
 	}
 }
 
-// MetricDims reports the length of the vectors a Parser emits for kind.
-func MetricDims(kind Kind) int { return len(MetricNamesFor(kind)) }
+// MetricNamesFor returns the full per-second vector layout for a log kind:
+// the state counts followed by the derived duration/failure metrics.
+func MetricNamesFor(kind Kind) []string {
+	derived := derivedFor(kind)
+	if derived == nil {
+		return nil
+	}
+	return append(StateNamesFor(kind), derived...)
+}
+
+// MetricDims reports the length of the vectors a Parser emits for kind. It
+// allocates nothing.
+func MetricDims(kind Kind) int { return len(StatesFor(kind)) + len(derivedFor(kind)) }

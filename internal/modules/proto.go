@@ -87,8 +87,9 @@ type procMetricsResponse struct {
 // sadc.net, sadc.proc) sized for batched clients: each group is backed by
 // its own collector — so each method's rates are computed against its own
 // previous snapshot and stay self-consistent whatever subset a client
-// batches — and each reply carries only the vectors the client asked for,
-// instead of every interface and process on the node.
+// batches — which computes that group alone, and each reply carries only
+// the vectors the client asked for, instead of every interface and process
+// on the node.
 //
 // The server also offers the columnar stream counterpart (sadc.metrics) for
 // wire = columnar clients; each stream open gets its own collector, so its
@@ -106,7 +107,7 @@ func registerSadcJSON(srv *rpc.Server, provider procfs.Provider) {
 	srv.Handle(MethodSadcCollect, func(json.RawMessage) (any, error) {
 		return collector.Collect()
 	})
-	nodeC := sadc.NewCollector(provider)
+	nodeC := sadc.NewGroupCollector(provider, sadc.Groups{Node: true})
 	srv.Handle(MethodSadcNode, func(json.RawMessage) (any, error) {
 		rec, err := nodeC.Collect()
 		if err != nil {
@@ -114,7 +115,7 @@ func registerSadcJSON(srv *rpc.Server, provider procfs.Provider) {
 		}
 		return nodeMetricsResponse{Warmup: rec.Warmup, Node: rec.Node}, nil
 	})
-	netC := sadc.NewCollector(provider)
+	netC := sadc.NewGroupCollector(provider, sadc.Groups{AllIfaces: true})
 	srv.Handle(MethodSadcNet, func(params json.RawMessage) (any, error) {
 		var req netMetricsRequest
 		if err := json.Unmarshal(params, &req); err != nil {
@@ -135,7 +136,7 @@ func registerSadcJSON(srv *rpc.Server, provider procfs.Provider) {
 		}
 		return resp, nil
 	})
-	procC := sadc.NewCollector(provider)
+	procC := sadc.NewGroupCollector(provider, sadc.Groups{AllPids: true})
 	srv.Handle(MethodSadcProc, func(params json.RawMessage) (any, error) {
 		var req procMetricsRequest
 		if err := json.Unmarshal(params, &req); err != nil {

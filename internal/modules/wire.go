@@ -72,7 +72,7 @@ func newSadcStreamSource(provider procfs.Provider, req sadcStreamRequest) *sadcS
 		len(req.Ifaces)*len(sadc.NetMetricNames) +
 		len(req.Pids)*len(sadc.ProcMetricNames)
 	return &sadcStreamSource{
-		collector: sadc.NewCollector(provider),
+		collector: sadc.NewGroupCollector(provider, sadc.Groups{Node: true, Ifaces: req.Ifaces, Pids: req.Pids}),
 		schema:    schema,
 		ifaces:    req.Ifaces,
 		pids:      req.Pids,

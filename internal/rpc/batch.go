@@ -70,9 +70,10 @@ type batchResult struct {
 	Error  string          `json:"error,omitempty"`
 }
 
-// batchScratch pools encode buffers for CallBatch frames, so the steady
-// state encode path performs zero allocations regardless of batch size.
-var batchScratch = sync.Pool{
+// frameScratch pools the buffers outgoing frames are serialized in (each at
+// least frameHeaderLen long), so the steady state encode path performs zero
+// allocations regardless of frame size.
+var frameScratch = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
 		return &b
@@ -136,26 +137,6 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// writeRawFrame writes one length-prefixed frame whose body is already
-// serialized, the raw counterpart of writeFrame.
-func writeRawFrame(w io.Writer, body []byte) error {
-	if len(body) > maxFrameBytes {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", len(body))
-	}
-	var hdr [4]byte
-	hdr[0] = byte(len(body) >> 24)
-	hdr[1] = byte(len(body) >> 16)
-	hdr[2] = byte(len(body) >> 8)
-	hdr[3] = byte(len(body))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("rpc: write header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("rpc: write body: %w", err)
-	}
-	return nil
-}
-
 // CallBatch sends every call in one request frame and reads one response
 // frame, filling each call's Result and Err in place. The returned error
 // reports transport-level failures (and whole-batch remote rejections, as a
@@ -174,26 +155,22 @@ func (c *Client) CallBatch(calls []BatchCall) error {
 	c.nextID++
 	id := c.nextID
 
-	bufp := batchScratch.Get().(*[]byte)
-	body, err := appendBatchRequest((*bufp)[:0], id, calls)
+	bufp := frameScratch.Get().(*[]byte)
+	frame, err := appendBatchRequest((*bufp)[:frameHeaderLen], id, calls)
 	if err != nil {
-		batchScratch.Put(bufp)
+		frameScratch.Put(bufp)
 		return err
 	}
-
-	deadline := time.Now().Add(c.timeout)
-	_ = c.conn.SetDeadline(deadline)
-	defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
-
-	werr := writeRawFrame(c.conn, body)
-	*bufp = body[:0]
-	batchScratch.Put(bufp)
+	c.armDeadline(0)
+	werr := writeFrame(c.conn, frame, 0)
+	*bufp = frame[:0]
+	frameScratch.Put(bufp)
 	if werr != nil {
 		return werr
 	}
 
 	var resp response
-	if err := readFrame(c.conn, &resp); err != nil {
+	if err := c.fr.readJSON(&resp); err != nil {
 		if errors.Is(err, io.EOF) {
 			return ErrClosed
 		}
@@ -286,7 +263,7 @@ func appendBatchResponse(dst []byte, id uint64, results []batchResult) []byte {
 }
 
 // serveBatch serves one MethodBatch frame end to end, encoding the reply
-// through pooled scratch and writing it as a raw frame. The returned error
+// through pooled scratch and writing it as one frame. The returned error
 // is a connection write failure.
 func (cs *connState) serveBatch(req *request) error {
 	results, errMsg := cs.srv.batchResults(req)
@@ -296,10 +273,10 @@ func (cs *connState) serveBatch(req *request) error {
 	if errMsg != "" {
 		return cs.write(response{ID: req.ID, Error: errMsg})
 	}
-	bufp := batchScratch.Get().(*[]byte)
-	body := appendBatchResponse((*bufp)[:0], req.ID, results)
-	err := cs.writeRaw(body)
-	*bufp = body[:0]
-	batchScratch.Put(bufp)
+	bufp := frameScratch.Get().(*[]byte)
+	frame := appendBatchResponse((*bufp)[:frameHeaderLen], req.ID, results)
+	err := cs.writeFramed(frame, 0)
+	*bufp = frame[:0]
+	frameScratch.Put(bufp)
 	return err
 }

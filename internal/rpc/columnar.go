@@ -128,7 +128,7 @@ type ColumnarEncoder struct {
 	seq      uint64
 	sentSch  bool
 
-	buf    []byte // assembled output frame(s), reused across Finish calls
+	buf    []byte // header room + assembled data frame, reused across Finish calls
 	rowBuf []byte // encoded rows of the in-progress data frame
 	nrows  int
 	began  bool
@@ -255,19 +255,29 @@ func (e *ColumnarEncoder) appendGroupRuns(gi int, values []float64) {
 // Finish assembles the frame bytes: the schema frame first if it has not
 // been sent on this stream yet, then the data frame with the rows appended
 // since Begin. The returned slice is reused by the next Finish.
-func (e *ColumnarEncoder) Finish() []byte {
-	e.buf = e.buf[:0]
-	if !e.sentSch {
-		e.buf = e.appendSchemaFrame(e.buf)
+func (e *ColumnarEncoder) Finish() []byte { return e.finish()[frameHeaderLen:] }
+
+// finish is Finish with frameHeaderLen bytes reserved ahead of the body, so
+// the server sends the frame without copying it.
+func (e *ColumnarEncoder) finish() []byte {
+	buf := append(e.buf[:0], make([]byte, frameHeaderLen)...)
+	withSchema := !e.sentSch
+	if withSchema {
+		buf = e.appendSchemaFrame(buf)
 		e.sentSch = true
 	}
 	e.seq++
-	e.buf = append(e.buf, frameKindData)
-	e.buf = binary.AppendUvarint(e.buf, e.seq)
-	e.buf = binary.AppendUvarint(e.buf, uint64(e.nrows))
-	e.buf = append(e.buf, e.rowBuf...)
+	buf = append(buf, frameKindData)
+	buf = binary.AppendUvarint(buf, e.seq)
+	buf = binary.AppendUvarint(buf, uint64(e.nrows))
+	buf = append(buf, e.rowBuf...)
 	e.began = false
-	return e.buf
+	if !withSchema {
+		// Only data frames size the buffer kept for reuse: the schema is
+		// sent once per stream and dwarfs them.
+		e.buf = buf
+	}
+	return buf
 }
 
 func (e *ColumnarEncoder) appendSchemaFrame(dst []byte) []byte {
@@ -348,8 +358,6 @@ type ColumnarDecoder struct {
 
 	rows  []StreamRow
 	nrows int
-
-	buf []byte // transport read buffer, loaned to readTaggedFrame
 }
 
 // NewColumnarDecoder creates an empty decoder; the schema arrives in-band

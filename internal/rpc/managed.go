@@ -262,7 +262,7 @@ func (m *ManagedClient) Addr() string { return m.addr }
 func (m *ManagedClient) Call(method string, params, result any) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.do(func(c *Client) error { return c.Call(method, params, result) })
+	return m.do(tripFunc(func(c *Client) error { return c.Call(method, params, result) }))
 }
 
 // CallBatch sends every call in one supervised round trip (one request
@@ -278,13 +278,24 @@ func (m *ManagedClient) CallBatch(calls []BatchCall) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.mBatchItems.Add(uint64(len(calls)))
-	return m.do(func(c *Client) error { return c.CallBatch(calls) })
+	return m.do(tripFunc(func(c *Client) error { return c.CallBatch(calls) }))
 }
 
+// roundTripper is one exchange on the live connection. The per-tick stream
+// exchanges are methods of StreamClient and ManagedSubscription, so handing
+// one to do allocates nothing; one-off calls wrap a closure in tripFunc.
+type roundTripper interface {
+	roundTrip(c *Client) error
+}
+
+type tripFunc func(*Client) error
+
+func (f tripFunc) roundTrip(c *Client) error { return f(c) }
+
 // do runs one supervised round trip: breaker gate, lazy dial under backoff,
-// the call itself, then success/failure accounting. The caller must hold
+// the exchange itself, then success/failure accounting. The caller must hold
 // m.mu.
-func (m *ManagedClient) do(call func(*Client) error) error {
+func (m *ManagedClient) do(call roundTripper) error {
 	if m.closed {
 		return ErrClosed
 	}
@@ -324,14 +335,13 @@ func (m *ManagedClient) do(call func(*Client) error) error {
 		// Latency is wall-clock even under an injected virtual Clock: the
 		// histogram reports real network time, not simulated time.
 		start := time.Now()
-		err = call(m.client)
+		err = call.roundTrip(m.client)
 		m.mCallSeconds.Observe(time.Since(start).Seconds())
 	} else {
-		err = call(m.client)
+		err = call.roundTrip(m.client)
 	}
 	m.flushWireBytes()
-	var remote *RemoteError
-	if err == nil || errors.As(err, &remote) {
+	if err == nil || isRemoteError(err) {
 		// The node answered: transport is healthy even if the handler
 		// returned an application error.
 		m.onSuccess(now)
@@ -346,6 +356,12 @@ func (m *ManagedClient) do(call func(*Client) error) error {
 	m.client = nil
 	m.onFailure(now, err)
 	return fmt.Errorf("rpc: node %s: %w", m.addr, err)
+}
+
+// isRemoteError keeps errors.As's escaping target off the success path.
+func isRemoteError(err error) bool {
+	var remote *RemoteError
+	return errors.As(err, &remote)
 }
 
 // flushWireBytes moves the live connection's not-yet-counted wire bytes into

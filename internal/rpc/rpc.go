@@ -90,39 +90,128 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeFrame writes one length-prefixed JSON frame.
-func writeFrame(w io.Writer, v any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("rpc: marshal: %w", err)
+// frameHeaderLen: a big-endian uint32 body length, high bit binaryFrameFlag.
+const frameHeaderLen = 4
+
+// writeFrame sends one frame in a single Write: one segment, one wake-up of
+// the peer. frame is the body preceded by frameHeaderLen reserved bytes, which
+// every encoder leaves free in the buffer it already owns and writeFrame fills.
+func writeFrame(w io.Writer, frame []byte, flag uint32) error {
+	n := len(frame) - frameHeaderLen
+	if n > maxFrameBytes {
+		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
 	}
-	if len(body) > maxFrameBytes {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("rpc: write header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("rpc: write body: %w", err)
+	binary.BigEndian.PutUint32(frame, uint32(n)|flag)
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("rpc: write frame: %w", err)
 	}
 	return nil
 }
 
-// readFrame reads one length-prefixed JSON frame into v.
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// writeJSONFrame marshals v into pooled scratch and sends it as one frame.
+func writeJSONFrame(w io.Writer, v any) error {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("rpc: marshal: %w", err)
+	}
+	bufp := frameScratch.Get().(*[]byte)
+	frame := append((*bufp)[:frameHeaderLen], body...)
+	err = writeFrame(w, frame, 0)
+	*bufp = frame[:0]
+	frameScratch.Put(bufp)
+	return err
+}
+
+// frameReader reads one connection's frames through a single reused,
+// grow-on-demand buffer. Every Read asks for all the room the buffer has, so a
+// frame that fits costs one Read, and bytes of a following frame that arrive
+// with it (push streams send back-to-back) wait for the next call. It owns no
+// other buffer: a bufio.Reader per connection end costs a fleet more live heap
+// than the frames themselves.
+type frameReader struct {
+	r        io.Reader
+	buf      []byte
+	off, end int // buf[off:end] is read but not yet handed out
+}
+
+// The buffer grows in units of frameBufQuantum (one holds a stream pull
+// request) up to frameBufKeep, which holds a steady-state columnar data
+// frame. A larger frame (a schema, a JSON record) gets a buffer of its own, so
+// what idle connections pin is bounded whatever the largest frame each saw.
+const (
+	frameBufQuantum = 64
+	frameBufKeep    = 512
+)
+
+// fill reads until n <= frameBufKeep bytes are buffered, first sliding the
+// partial frame to the front (of a bigger buffer if need be) to make room.
+func (fr *frameReader) fill(n int) error {
+	for fr.end-fr.off < n {
+		if fr.off+n > len(fr.buf) {
+			dst := fr.buf
+			if n > len(dst) {
+				dst = make([]byte, (n+frameBufQuantum-1)/frameBufQuantum*frameBufQuantum)
+			}
+			fr.end = copy(dst, fr.buf[fr.off:fr.end])
+			fr.buf, fr.off = dst, 0
+		}
+		m, err := fr.r.Read(fr.buf[fr.end:])
+		fr.end += m
+		if err != nil && fr.end-fr.off < n {
+			return err
+		}
+	}
+	return nil
+}
+
+// next returns the next frame's body and whether its header was tagged
+// binary. The body is valid until the following call to next. io.EOF is
+// returned only on a frame boundary.
+func (fr *frameReader) next() (body []byte, isBinary bool, err error) {
+	if fr.off == fr.end {
+		fr.off, fr.end = 0, 0
+	}
+	if err := fr.fill(frameHeaderLen); err != nil {
+		if err == io.EOF && fr.off == fr.end {
+			return nil, false, io.EOF
+		}
+		return nil, false, midFrameError(err)
+	}
+	hdr := binary.BigEndian.Uint32(fr.buf[fr.off:])
+	n := hdr &^ binaryFrameFlag
+	if n > maxFrameBytes {
+		return nil, false, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
+	}
+	if need := frameHeaderLen + int(n); need > frameBufKeep {
+		body = make([]byte, n)
+		have := copy(body, fr.buf[fr.off+frameHeaderLen:fr.end])
+		fr.off, fr.end = 0, 0
+		_, err = io.ReadFull(fr.r, body[have:])
+	} else if err = fr.fill(need); err == nil {
+		body = fr.buf[fr.off+frameHeaderLen : fr.off+need]
+		fr.off += need
+	}
+	if err != nil {
+		return nil, false, midFrameError(err)
+	}
+	return body, hdr&binaryFrameFlag != 0, nil
+}
+
+func midFrameError(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("rpc: read frame: %w", err)
+}
+
+// readJSON reads the next frame, which must be a JSON frame, into v.
+func (fr *frameReader) readJSON(v any) error {
+	body, isBinary, err := fr.next()
+	if err != nil {
 		return err // io.EOF passes through for clean shutdown detection
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrameBytes {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return fmt.Errorf("rpc: read body: %w", err)
+	if isBinary {
+		return fmt.Errorf("rpc: unexpected binary frame of %d bytes", len(body))
 	}
 	if err := json.Unmarshal(body, v); err != nil {
 		return fmt.Errorf("rpc: unmarshal: %w", err)
@@ -261,6 +350,7 @@ func (s *Server) currentFaults() Faults {
 func (s *Server) serveConn(raw net.Conn) {
 	cc := &countingConn{Conn: raw}
 	cs := &connState{srv: s, cc: cc, done: make(chan struct{})}
+	fr := frameReader{r: cc}
 	defer func() {
 		close(cs.done) // retire this connection's push goroutines
 		s.bytesRead.Add(cc.read.Load())
@@ -276,7 +366,7 @@ func (s *Server) serveConn(raw net.Conn) {
 	}
 
 	var hello helloRequest
-	if err := readFrame(cc, &hello); err != nil {
+	if err := fr.readJSON(&hello); err != nil {
 		return
 	}
 	if hello.Proto != ProtocolVersion {
@@ -297,8 +387,23 @@ func (s *Server) serveConn(raw net.Conn) {
 	}
 
 	for {
+		body, isBinary, err := fr.next()
+		if err != nil || isBinary {
+			return // clients never send binary frames
+		}
+		// The bytes appendStreamRequest emits for a pull select the path
+		// that serves it without encoding/json; any other spelling of a
+		// pull, and every other method, takes the generic decode.
+		if id, stream, ok := parsePullRequest(body); ok {
+			if cs.servePull(id, stream, "") != nil {
+				return
+			}
+			continue
+		}
+		// A fresh request per frame: json copies Params out of body, so what
+		// a handler keeps never aliases the buffer the next frame overwrites.
 		var req request
-		if err := readFrame(cc, &req); err != nil {
+		if err := json.Unmarshal(body, &req); err != nil {
 			return
 		}
 		switch req.Method {
@@ -387,6 +492,7 @@ func (s *Server) Stats() (bytesRead, bytesWritten uint64) {
 type Client struct {
 	mu      sync.Mutex
 	conn    *countingConn
+	fr      frameReader // response frames; its buffer is the only one the client owns
 	closed  bool
 	nextID  uint64
 	timeout time.Duration
@@ -411,28 +517,42 @@ func Dial(addr, clientName string, opts ...DialOption) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dial %s: %w", addr, err)
 	}
+	c, err := newClient(raw, clientName, opts...)
+	if err != nil {
+		_ = raw.Close()
+	}
+	return c, err
+}
+
+// newClient performs the hello exchange over an established connection.
+func newClient(raw net.Conn, clientName string, opts ...DialOption) (*Client, error) {
 	c := &Client{conn: &countingConn{Conn: raw}, timeout: 10 * time.Second}
+	c.fr.r = c.conn
 	for _, o := range opts {
 		o(c)
 	}
-	if err := writeFrame(c.conn, helloRequest{Proto: ProtocolVersion, Client: clientName}); err != nil {
-		_ = raw.Close()
+	c.armDeadline(0)
+	if err := writeJSONFrame(c.conn, helloRequest{Proto: ProtocolVersion, Client: clientName}); err != nil {
 		return nil, err
 	}
 	var hello helloResponse
-	_ = raw.SetReadDeadline(time.Now().Add(c.timeout))
-	if err := readFrame(c.conn, &hello); err != nil {
-		_ = raw.Close()
+	if err := c.fr.readJSON(&hello); err != nil {
 		return nil, fmt.Errorf("rpc: hello: %w", err)
 	}
-	_ = raw.SetReadDeadline(time.Time{})
 	if hello.Proto != ProtocolVersion {
-		_ = raw.Close()
 		return nil, fmt.Errorf("rpc: server speaks protocol %d, want %d", hello.Proto, ProtocolVersion)
 	}
 	c.Service = hello.Service
 	c.Methods = hello.Methods
 	return c, nil
+}
+
+// armDeadline bounds the exchange about to start at the call timeout plus
+// extra. Nothing clears it afterwards: every exchange arms its own before it
+// touches the socket, so a deadline left on an idle connection is never
+// observed, and clearing it is a second runtime timer operation per call.
+func (c *Client) armDeadline(extra time.Duration) {
+	_ = c.conn.SetDeadline(time.Now().Add(c.timeout + extra))
 }
 
 // Call invokes method with params (marshaled to JSON) and unmarshals the
@@ -455,15 +575,12 @@ func (c *Client) Call(method string, params, result any) error {
 	c.nextID++
 	req := request{ID: c.nextID, Method: method, Params: raw}
 
-	deadline := time.Now().Add(c.timeout)
-	_ = c.conn.SetDeadline(deadline)
-	defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
-
-	if err := writeFrame(c.conn, req); err != nil {
+	c.armDeadline(0)
+	if err := writeJSONFrame(c.conn, req); err != nil {
 		return err
 	}
 	var resp response
-	if err := readFrame(c.conn, &resp); err != nil {
+	if err := c.fr.readJSON(&resp); err != nil {
 		if errors.Is(err, io.EOF) {
 			return ErrClosed
 		}

@@ -274,10 +274,11 @@ func TestProtocolMismatch(t *testing.T) {
 		}
 		defer func() { _ = conn.Close() }()
 		var hello helloRequest
-		if err := readFrame(conn, &hello); err != nil {
+		fr := frameReader{r: conn}
+		if err := fr.readJSON(&hello); err != nil {
 			return
 		}
-		_ = writeFrame(conn, helloResponse{Proto: 99, Service: "bogus"})
+		_ = writeJSONFrame(conn, helloResponse{Proto: 99, Service: "bogus"})
 	}()
 	if _, err := Dial(l.Addr().String(), "c"); err == nil || !strings.Contains(err.Error(), "protocol") {
 		t.Errorf("Dial = %v, want protocol error", err)

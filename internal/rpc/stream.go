@@ -1,7 +1,7 @@
 package rpc
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -57,46 +57,6 @@ const binaryFrameFlag = uint32(1) << 31
 // streamCreditCap bounds buffered credits per push stream; far beyond any
 // sane window, it only guards against a runaway client.
 const streamCreditCap = 1024
-
-// writeBinaryFrame writes one length-prefixed binary frame, tagging the
-// header's high bit so the receiver routes it to the columnar decoder.
-func writeBinaryFrame(w io.Writer, body []byte) error {
-	if len(body) > maxFrameBytes {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body))|binaryFrameFlag)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("rpc: write header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("rpc: write body: %w", err)
-	}
-	return nil
-}
-
-// readTaggedFrame reads one frame into *buf (grown as needed, reused
-// otherwise) and reports whether it was a binary frame.
-func readTaggedFrame(r io.Reader, buf *[]byte) (body []byte, isBinary bool, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, false, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	isBinary = n&binaryFrameFlag != 0
-	n &^= binaryFrameFlag
-	if n > maxFrameBytes {
-		return nil, false, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
-	}
-	if cap(*buf) < int(n) {
-		*buf = make([]byte, n)
-	}
-	*buf = (*buf)[:n]
-	if _, err := io.ReadFull(r, *buf); err != nil {
-		return nil, false, fmt.Errorf("rpc: read body: %w", err)
-	}
-	return *buf, isBinary, nil
-}
 
 // FrameWriter is handed to a StreamSource's Collect to append rows to the
 // frame being built. Errors stick: the first failed append fails the
@@ -171,6 +131,7 @@ type serverStream struct {
 	id      uint64
 	src     StreamSource
 	enc     *ColumnarEncoder
+	fw      FrameWriter // handed to src.Collect, reused every frame
 	push    bool
 	period  time.Duration
 	credits chan struct{}
@@ -195,19 +156,14 @@ type connState struct {
 func (cs *connState) write(v any) error {
 	cs.writeMu.Lock()
 	defer cs.writeMu.Unlock()
-	return writeFrame(cs.cc, v)
+	return writeJSONFrame(cs.cc, v)
 }
 
-func (cs *connState) writeRaw(body []byte) error {
+// writeFramed sends an already-serialized frame (header bytes reserved).
+func (cs *connState) writeFramed(frame []byte, flag uint32) error {
 	cs.writeMu.Lock()
 	defer cs.writeMu.Unlock()
-	return writeRawFrame(cs.cc, body)
-}
-
-func (cs *connState) writeBinary(body []byte) error {
-	cs.writeMu.Lock()
-	defer cs.writeMu.Unlock()
-	return writeBinaryFrame(cs.cc, body)
+	return writeFrame(cs.cc, frame, flag)
 }
 
 func (cs *connState) lookup(id uint64) *serverStream {
@@ -239,6 +195,7 @@ func (cs *connState) openStream(req *request) response {
 		push:   or.Push,
 		period: time.Duration(or.PeriodMS) * time.Millisecond,
 	}
+	st.fw.enc = st.enc
 	if st.push {
 		st.credits = make(chan struct{}, streamCreditCap)
 	}
@@ -267,43 +224,87 @@ func (cs *connState) openStream(req *request) response {
 	return response{ID: req.ID, Result: raw}
 }
 
-// pullStream serves one MethodStreamPull request: collect one frame from the
-// source and write it as a binary frame, or a JSON error frame. The
-// returned error is a connection write failure.
+// collect builds the stream's next frame, header bytes reserved.
+func (st *serverStream) collect() ([]byte, error) {
+	st.enc.Begin()
+	st.fw.err = nil
+	if err := st.src.Collect(&st.fw); err != nil {
+		return nil, err
+	}
+	if st.fw.err != nil {
+		return nil, st.fw.err
+	}
+	return st.enc.finish(), nil
+}
+
+// pullStream serves a pull that arrived in any spelling but the canonical
+// one: decode its params generically, then serve it as the recognised form.
 func (cs *connState) pullStream(req *request) error {
 	var pr streamIDRequest
-	var st *serverStream
 	var errMsg string
 	if err := json.Unmarshal(req.Params, &pr); err != nil {
 		errMsg = fmt.Sprintf("malformed stream pull: %v", err)
-	} else if st = cs.lookup(pr.S); st == nil {
-		errMsg = fmt.Sprintf("rpc.stream: unknown stream %d", pr.S)
-	} else if st.push {
-		errMsg = fmt.Sprintf("rpc.stream: stream %d is push-mode", pr.S)
 	}
+	return cs.servePull(req.ID, pr.S, errMsg)
+}
 
-	var body []byte
+// servePull answers one pull: one collected frame written as a binary frame,
+// or a JSON error frame (a non-empty errMsg is a request that already failed
+// to decode). The returned error is a connection write failure.
+func (cs *connState) servePull(id, stream uint64, errMsg string) error {
+	var frame []byte
 	if errMsg == "" {
-		st.enc.Begin()
-		fw := FrameWriter{enc: st.enc}
-		err := st.src.Collect(&fw)
-		if err == nil {
-			err = fw.err
-		}
-		if err != nil {
-			errMsg = err.Error()
+		if st := cs.lookup(stream); st == nil {
+			errMsg = fmt.Sprintf("rpc.stream: unknown stream %d", stream)
+		} else if st.push {
+			errMsg = fmt.Sprintf("rpc.stream: stream %d is push-mode", stream)
 		} else {
-			body = st.enc.Finish()
+			var err error
+			if frame, err = st.collect(); err != nil {
+				errMsg = err.Error()
+			}
 		}
 	}
-
 	if d := cs.srv.currentFaults().Delay; d > 0 {
 		time.Sleep(d) // injected fault: slow node
 	}
 	if errMsg != "" {
-		return cs.write(response{ID: req.ID, Error: errMsg})
+		return cs.write(response{ID: id, Error: errMsg})
 	}
-	return cs.writeBinary(body)
+	return cs.writeFramed(frame, binaryFrameFlag)
+}
+
+// The fixed bytes of the request appendStreamRequest emits for a pull.
+var (
+	pullRequestHead = []byte(`{"id":`)
+	pullRequestMid  = []byte(`,"method":"` + MethodStreamPull + `","params":{"s":`)
+	pullRequestTail = []byte(`}}`)
+)
+
+// parsePullRequest recognises exactly the bytes appendStreamRequest emits
+// for a pull and returns its call id and stream id. Anything else, valid
+// JSON that means the same included, is left to the generic decode; whenever
+// it does accept, json.Unmarshal yields the same two numbers.
+func parsePullRequest(body []byte) (id, stream uint64, ok bool) {
+	rest, ok1 := bytes.CutPrefix(body, pullRequestHead)
+	id, rest, ok2 := cutCanonicalUint(rest)
+	rest, ok3 := bytes.CutPrefix(rest, pullRequestMid)
+	stream, rest, ok4 := cutCanonicalUint(rest)
+	return id, stream, ok1 && ok2 && ok3 && ok4 && bytes.Equal(rest, pullRequestTail)
+}
+
+// cutCanonicalUint cuts a leading number as strconv.AppendUint writes one: no
+// sign, no leading zero, and at most 19 digits, which cannot overflow.
+func cutCanonicalUint(b []byte) (v uint64, rest []byte, ok bool) {
+	n := 0
+	for n < len(b) && n < 19 && b[n] >= '0' && b[n] <= '9' {
+		v = v*10 + uint64(b[n]-'0')
+		n++
+	}
+	if n == 0 || (b[0] == '0' && n > 1) || (n < len(b) && b[n] >= '0' && b[n] <= '9') {
+		return 0, b, false
+	}
+	return v, b[n:], true
 }
 
 // creditStream serves one MethodStreamCredit request. Credits to unknown or
@@ -349,12 +350,7 @@ func (cs *connState) pusher(st *serverStream) {
 				}
 			}
 		}
-		st.enc.Begin()
-		fw := FrameWriter{enc: st.enc}
-		err := st.src.Collect(&fw)
-		if err == nil {
-			err = fw.err
-		}
+		frame, err := st.collect()
 		if d := cs.srv.currentFaults().Delay; d > 0 {
 			time.Sleep(d) // injected fault: slow node
 		}
@@ -364,7 +360,7 @@ func (cs *connState) pusher(st *serverStream) {
 			// them as a RemoteError from its next Fetch.
 			werr = cs.write(response{Error: fmt.Sprintf("rpc.stream %d: %v", st.id, err)})
 		} else {
-			werr = cs.writeBinary(st.enc.Finish())
+			werr = cs.writeFramed(frame, binaryFrameFlag)
 		}
 		if werr != nil {
 			return
@@ -375,7 +371,8 @@ func (cs *connState) pusher(st *serverStream) {
 
 // appendStreamRequest appends the request body for a pull or credit call —
 // hand-rolled like appendBatchRequest so a pooled dst keeps the per-tick
-// encode allocation-free.
+// encode allocation-free. The server recognises a pull by exactly these
+// bytes (parsePullRequest); changing them only costs it the fast path.
 func appendStreamRequest(dst []byte, id uint64, method string, stream uint64, n int) []byte {
 	dst = append(dst, `{"id":`...)
 	dst = strconv.AppendUint(dst, id, 10)
@@ -401,8 +398,8 @@ func (c *Client) openStream(method string, params json.RawMessage, push bool, pe
 }
 
 // pullStream requests one frame from a pull-mode stream and decodes it into
-// dec. The encode path uses pooled scratch and the frame is read into the
-// decoder's reused buffer, so the steady state allocates nothing.
+// dec. The encode path uses pooled scratch and the frame is decoded in place
+// in the client's read buffer, so the steady state allocates nothing.
 func (c *Client) pullStream(id uint64, dec *ColumnarDecoder) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -410,21 +407,21 @@ func (c *Client) pullStream(id uint64, dec *ColumnarDecoder) error {
 		return ErrClosed
 	}
 	c.nextID++
-	reqID := c.nextID
-
-	deadline := time.Now().Add(c.timeout)
-	_ = c.conn.SetDeadline(deadline)
-	defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
-
-	bufp := batchScratch.Get().(*[]byte)
-	body := appendStreamRequest((*bufp)[:0], reqID, MethodStreamPull, id, 0)
-	werr := writeRawFrame(c.conn, body)
-	*bufp = body[:0]
-	batchScratch.Put(bufp)
-	if werr != nil {
-		return werr
+	c.armDeadline(0)
+	if err := c.writeStreamRequest(MethodStreamPull, id, 0); err != nil {
+		return err
 	}
-	return c.readStreamFrame(dec, MethodStreamPull, reqID)
+	return c.readStreamFrame(dec, MethodStreamPull, c.nextID)
+}
+
+// writeStreamRequest sends a pull or credit request under call id c.nextID.
+func (c *Client) writeStreamRequest(method string, stream uint64, n int) error {
+	bufp := frameScratch.Get().(*[]byte)
+	frame := appendStreamRequest((*bufp)[:frameHeaderLen], c.nextID, method, stream, n)
+	err := writeFrame(c.conn, frame, 0)
+	*bufp = frame[:0]
+	frameScratch.Put(bufp)
+	return err
 }
 
 // fetchStream grants credits (if any) to a push-mode stream and reads the
@@ -437,19 +434,11 @@ func (c *Client) fetchStream(id uint64, dec *ColumnarDecoder, credits int, extra
 		return ErrClosed
 	}
 
-	deadline := time.Now().Add(c.timeout + extra)
-	_ = c.conn.SetDeadline(deadline)
-	defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
-
+	c.armDeadline(extra)
 	if credits > 0 {
 		c.nextID++
-		bufp := batchScratch.Get().(*[]byte)
-		body := appendStreamRequest((*bufp)[:0], c.nextID, MethodStreamCredit, id, credits)
-		werr := writeRawFrame(c.conn, body)
-		*bufp = body[:0]
-		batchScratch.Put(bufp)
-		if werr != nil {
-			return werr
+		if err := c.writeStreamRequest(MethodStreamCredit, id, credits); err != nil {
+			return err
 		}
 	}
 	return c.readStreamFrame(dec, "rpc.stream", 0)
@@ -459,7 +448,7 @@ func (c *Client) fetchStream(id uint64, dec *ColumnarDecoder, credits int, extra
 // frames must be error responses (a pull's error reply, or a push stream's
 // in-band error frame with id 0).
 func (c *Client) readStreamFrame(dec *ColumnarDecoder, method string, wantID uint64) error {
-	body, isBin, err := readTaggedFrame(c.conn, &dec.buf)
+	body, isBin, err := c.fr.next()
 	if err != nil {
 		if errors.Is(err, io.EOF) {
 			return ErrClosed
@@ -523,22 +512,24 @@ func (m *ManagedClient) Stream(method string, params any) (*StreamClient, error)
 func (sc *StreamClient) Pull() ([]StreamRow, error) {
 	sc.m.mu.Lock()
 	defer sc.m.mu.Unlock()
-	err := sc.m.do(func(c *Client) error {
-		if sc.cur != c {
-			id, err := c.openStream(sc.method, sc.params, false, 0)
-			if err != nil {
-				return err
-			}
-			sc.dec.Reset()
-			sc.id = id
-			sc.cur = c
-		}
-		return c.pullStream(sc.id, sc.dec)
-	})
-	if err != nil {
+	if err := sc.m.do(sc); err != nil {
 		return nil, err
 	}
 	return sc.dec.Rows(), nil
+}
+
+// roundTrip pulls one frame on c, (re)opening the stream if c is a new connection.
+func (sc *StreamClient) roundTrip(c *Client) error {
+	if sc.cur != c {
+		id, err := c.openStream(sc.method, sc.params, false, 0)
+		if err != nil {
+			return err
+		}
+		sc.dec.Reset()
+		sc.id = id
+		sc.cur = c
+	}
+	return c.pullStream(sc.id, sc.dec)
 }
 
 // Schema returns the stream's schema once the first frame has arrived.
@@ -587,31 +578,34 @@ func (m *ManagedClient) Subscribe(method string, params any, period time.Duratio
 func (sub *ManagedSubscription) Fetch() ([]StreamRow, error) {
 	sub.m.mu.Lock()
 	defer sub.m.mu.Unlock()
-	err := sub.m.do(func(c *Client) error {
-		if sub.cur != c {
-			id, err := c.openStream(sub.method, sub.params, true, sub.period)
-			if err != nil {
-				return err
-			}
-			sub.dec.Reset()
-			sub.id = id
-			sub.cur = c
-			sub.outstanding = 0
-		}
-		grant := sub.window - sub.outstanding
-		if grant < 0 {
-			grant = 0
-		}
-		if err := c.fetchStream(sub.id, sub.dec, grant, sub.period); err != nil {
-			return err
-		}
-		sub.outstanding += grant - 1 // one frame was just consumed
-		return nil
-	})
-	if err != nil {
+	if err := sub.m.do(sub); err != nil {
 		return nil, err
 	}
 	return sub.dec.Rows(), nil
+}
+
+// roundTrip tops up the credit window on c and reads one frame, resubscribing
+// first if c is a new connection.
+func (sub *ManagedSubscription) roundTrip(c *Client) error {
+	if sub.cur != c {
+		id, err := c.openStream(sub.method, sub.params, true, sub.period)
+		if err != nil {
+			return err
+		}
+		sub.dec.Reset()
+		sub.id = id
+		sub.cur = c
+		sub.outstanding = 0
+	}
+	grant := sub.window - sub.outstanding
+	if grant < 0 {
+		grant = 0
+	}
+	if err := c.fetchStream(sub.id, sub.dec, grant, sub.period); err != nil {
+		return err
+	}
+	sub.outstanding += grant - 1 // one frame was just consumed
+	return nil
 }
 
 // Schema returns the stream's schema once the first frame has arrived.

@@ -7,6 +7,7 @@ package sadc
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/asdf-project/asdf/internal/procfs"
@@ -172,16 +173,46 @@ type Record struct {
 	Warmup bool
 }
 
+// Groups names the metric groups a Collector computes: what its caller
+// ships. A group left out costs nothing per Collect — no vector, no map — and
+// is absent (nil) from the Record.
+type Groups struct {
+	// Node selects the node-level vector.
+	Node bool
+	// AllIfaces and AllPids report every interface and process the snapshot
+	// holds; otherwise only those named in Ifaces and Pids are reported.
+	AllIfaces, AllPids bool
+	Ifaces             []string
+	Pids               []int
+}
+
+func (g *Groups) wantIface(name string) bool {
+	return g.AllIfaces || slices.Contains(g.Ifaces, name)
+}
+
+func (g *Groups) wantPid(pid int) bool {
+	return g.AllPids || slices.Contains(g.Pids, pid)
+}
+
 // Collector converts successive snapshots from a Provider into Records.
 // Not safe for concurrent use; each monitored node gets its own Collector.
 type Collector struct {
 	provider procfs.Provider
+	groups   Groups
 	prev     *procfs.Snapshot
 }
 
-// NewCollector creates a Collector reading from p.
+// NewCollector creates a Collector reading from p that computes every group.
 func NewCollector(p procfs.Provider) *Collector {
-	return &Collector{provider: p}
+	return NewGroupCollector(p, Groups{Node: true, AllIfaces: true, AllPids: true})
+}
+
+// NewGroupCollector creates a Collector reading from p that computes only
+// groups. Rates depend on the previous snapshot alone, never on what was
+// computed from it, so every vector it does report equals the one a full
+// collector reports for the same snapshot sequence.
+func NewGroupCollector(p procfs.Provider, groups Groups) *Collector {
+	return &Collector{provider: p, groups: groups}
 }
 
 // Collect takes a snapshot and returns the metric record relative to the
@@ -195,12 +226,14 @@ func (c *Collector) Collect() (*Record, error) {
 	prev := c.prev
 	c.prev = snap
 
-	rec := &Record{
-		Time:     snap.Time,
-		Net:      make(map[string][]float64, len(snap.Nets)),
-		Proc:     make(map[int][]float64, len(snap.Procs)),
-		ProcComm: make(map[int]string, len(snap.Procs)),
-		Warmup:   prev == nil,
+	g := &c.groups
+	rec := &Record{Time: snap.Time, Warmup: prev == nil}
+	if g.AllIfaces || len(g.Ifaces) > 0 {
+		rec.Net = make(map[string][]float64, len(snap.Nets))
+	}
+	if g.AllPids || len(g.Pids) > 0 {
+		rec.Proc = make(map[int][]float64, len(snap.Procs))
+		rec.ProcComm = make(map[int]string, len(snap.Procs))
 	}
 
 	var dt float64
@@ -216,9 +249,14 @@ func (c *Collector) Collect() (*Record, error) {
 		}
 	}
 
-	rec.Node = nodeVector(snap, prev, dt)
+	if g.Node {
+		rec.Node = nodeVector(snap, prev, dt)
+	}
 	for i := range snap.Nets {
 		cur := &snap.Nets[i]
+		if !g.wantIface(cur.Iface) {
+			continue
+		}
 		var old *procfs.NetDevStat
 		if prev != nil {
 			for j := range prev.Nets {
@@ -232,6 +270,9 @@ func (c *Collector) Collect() (*Record, error) {
 	}
 	for i := range snap.Procs {
 		cur := &snap.Procs[i]
+		if !g.wantPid(cur.PID) {
+			continue
+		}
 		var old *procfs.PIDStat
 		if prev != nil {
 			for j := range prev.Procs {

@@ -18,6 +18,14 @@
 #     -cont  'mode=sharded' \
 #     -out   shard [-count 5] [-benchtime 3x]
 #
+# The wire comparison runs twice: the codecs alone (BenchmarkWireFormat,
+# whole-fleet ticks, the default 3x) and one round trip per iteration over
+# loopback TCP, which needs iterations to mean anything:
+#   scripts/benchstat-compare.sh \
+#     -bench 'BenchmarkStreamPullRoundTrip/wire=(json|columnar)$' \
+#     -pkgs  './internal/rpc' -base 'wire=json' -cont 'wire=columnar' \
+#     -out   wire-roundtrip -benchtime 2000x
+#
 # Writes <out>-raw.txt, <out>-base.txt, <out>-cont.txt, <out>-benchstat.txt.
 set -euo pipefail
 
