@@ -30,12 +30,11 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("asdf-bench", flag.ContinueOnError)
-	experiment := fs.String("experiment", "all", "table3 | table4 | fig6a | fig6b | fig7a | fig7b | ablation | workload | shardscale | analysisscale | hier | wire | detect | all")
+	experiment := fs.String("experiment", "all", "table3 | table4 | fig6a | fig6b | fig7a | fig7b | ablation | workload | analysisscale | hier | wire | detect | all")
 	slaves := fs.Int("slaves", 0, "cluster size (0 = default)")
 	seed := fs.Int64("seed", 0, "base seed (0 = default)")
 	duration := fs.Int("duration", 0, "fault-run seconds (0 = default)")
 	csvOut := fs.String("csv", "", "directory to also write each exhibit's data as CSV (for plotting)")
-	shardJSON := fs.String("shard-json", "BENCH_shard.json", "output path for the shardscale experiment's JSON result")
 	hierJSON := fs.String("hier-json", "BENCH_hier.json", "output path for the hier experiment's JSON result")
 	analysisJSON := fs.String("analysis-json", "BENCH_analysis.json", "output path for the analysisscale experiment's JSON result")
 	wireJSON := fs.String("wire-json", "BENCH_wire.json", "output path for the wire experiment's JSON result")
@@ -87,7 +86,6 @@ func run(args []string) int {
 		"fig7b":         func() error { return runFig7(opts, model, false) },
 		"ablation":      func() error { return runAblation(opts, model) },
 		"workload":      func() error { return runWorkload(opts, model) },
-		"shardscale":    func() error { return runShardScale(*shardJSON) },
 		"analysisscale": func() error { return runAnalysisScale(*analysisJSON) },
 		"hier":          func() error { return runHierScale(*hierJSON) },
 		"wire":          func() error { return runWire(*wireJSON) },
@@ -303,42 +301,6 @@ func runWorkload(opts eval.Options, model *analysis.Model) error {
 	fmt.Printf("(javaSort+monsterQuery) at t = %d s; the run is fault-free throughout, so\n", res.SwitchAtSec)
 	fmt.Println("every alarm is a false positive. Peer comparison rides through the change;")
 	fmt.Println("thresholds calibrated on the light phase fire persistently after it (§2.1).")
-	return nil
-}
-
-// runShardScale measures the sharded collection plane's per-tick latency
-// against the single-shard baseline at growing cluster sizes and writes
-// the result as JSON (the committed BENCH_shard.json artifact).
-func runShardScale(jsonPath string) error {
-	cfg := eval.DefaultShardScaleConfig()
-	points, err := eval.MeasureShardScaling(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println("\n=== Shard scaling: per-tick collection latency, serial vs sharded sweep ===")
-	fmt.Printf("(simulated daemons %v away; sharded = %d shards x %d workers)\n",
-		cfg.RPCLatency, cfg.Shards, cfg.ShardFanout)
-	fmt.Printf("%-8s %8s %14s %10s\n", "nodes", "shards", "per-tick ms", "speedup")
-	rows := make([][]string, 0, len(points))
-	for _, p := range points {
-		fmt.Printf("%-8d %8d %14.2f %9.1fx\n", p.Nodes, p.Shards, p.PerTickMs, p.SpeedupVsSerial)
-		rows = append(rows, []string{fmt.Sprint(p.Nodes), fmt.Sprint(p.Shards),
-			fmt.Sprintf("%.3f", p.PerTickMs), fmt.Sprintf("%.2f", p.SpeedupVsSerial)})
-	}
-	writeCSV("shardscale.csv", []string{"nodes", "shards", "per_tick_ms", "speedup"}, rows)
-	fmt.Println("shape target: sharded per-tick latency flat-ish in nodes/(shards*fanout); several-x win by 512 nodes.")
-	if jsonPath != "" {
-		out := struct {
-			Experiment   string                 `json:"experiment"`
-			RPCLatencyUS int64                  `json:"rpc_latency_us"`
-			Ticks        int                    `json:"ticks"`
-			Points       []eval.ShardScalePoint `json:"points"`
-		}{"shardscale", cfg.RPCLatency.Microseconds(), cfg.Ticks, points}
-		if err := writeReportAtomic(jsonPath, out); err != nil {
-			return err
-		}
-		fmt.Printf("(wrote %s)\n", jsonPath)
-	}
 	return nil
 }
 

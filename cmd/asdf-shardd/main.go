@@ -1,5 +1,5 @@
 // Command asdf-shardd is the shard-leader of the hierarchical collection
-// plane: it owns the managed daemon connections, shard sweeps, and wire
+// plane: it owns the managed daemon connections, sweeps, and wire
 // negotiation for one contiguous node range, and serves merged per-tick
 // partials to the root asdf process (hierarchy JSON sweeps plus their
 // columnar stream counterparts). The root's sadc / hadoop_log instances
@@ -29,7 +29,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/asdf-project/asdf/internal/config"
 	"github.com/asdf-project/asdf/internal/hadooplog"
 	"github.com/asdf-project/asdf/internal/hierarchy"
 	"github.com/asdf-project/asdf/internal/modules"
@@ -50,10 +49,7 @@ func run(args []string) int {
 	sadcAddrs := fs.String("sadc-addrs", "", "comma-separated sadc-rpcd daemon addresses, parallel to -nodes")
 	hlogAddrs := fs.String("hlog-addrs", "", "comma-separated hadoop-log-rpcd daemon addresses, parallel to -nodes")
 	hlogKind := fs.String("hlog-kind", "tasktracker", "hadoop_log daemon kind: tasktracker or datanode")
-	fanout := fs.Int("fanout", 0, "concurrent daemon-fetch budget per sweep (0 = serial)")
-	shards := fs.Int("shards", 0, "shard-worker count over the leader's range (0 = single shard)")
-	shardFanout := fs.Int("shard-fanout", 0, "per-shard concurrent-fetch budget (0 = the -fanout budget)")
-	batch := fs.Bool("batch", false, "fetch all sadc metric groups in one batched RPC per node")
+	fanout := fs.Int("fanout", 0, "concurrent daemon-fetch budget per sweep (0 = min(16, nodes), 1 = serial)")
 	wire := fs.String("wire", "", "leader→daemon wire format: json or columnar (delta-encoded streams with per-node JSON fallback)")
 	callTimeout := fs.Duration("call-timeout", 0, "per-RPC deadline for collection daemons (0 = default 10s)")
 	reconnectBackoff := fs.Duration("reconnect-backoff", 0, "initial reconnect backoff to a dead daemon (0 = default 100ms)")
@@ -102,8 +98,6 @@ func run(args []string) int {
 		LogAddrs:  splitList(*hlogAddrs),
 		LogKind:   kind,
 		Fanout:    *fanout,
-		Shards:    config.ShardParams{Shards: *shards, ShardFanout: *shardFanout},
-		Batch:     *batch,
 		Wire:      *wire,
 	})
 	if err != nil {
@@ -184,13 +178,12 @@ func splitList(s string) []string {
 }
 
 // leaderStatus is the leader's /status document: its sweep accounting plus
-// the per-plane daemon breaker health and shard accounting a root operator
-// would otherwise lose sight of behind the delegation boundary.
+// the per-plane daemon breaker health a root operator would otherwise lose
+// sight of behind the delegation boundary.
 type leaderStatus struct {
 	hierarchy.StatusResponse
 	Healthy  bool                             `json:"healthy"`
 	Breakers map[string]map[string]rpc.Health `json:"breakers,omitempty"`
-	Shards   map[string][]modules.ShardStatus `json:"shards,omitempty"`
 	Restart  *state.RestartStatus             `json:"restart,omitempty"`
 }
 
@@ -212,14 +205,6 @@ func collectLeaderStatus(l *modules.Leader, mgr *state.Manager) leaderStatus {
 						st.Healthy = false
 					}
 				}
-			}
-		}
-		if shr, ok := mod.(modules.ShardReporter); ok {
-			if sts := shr.ShardStatuses(); len(sts) > 0 {
-				if st.Shards == nil {
-					st.Shards = make(map[string][]modules.ShardStatus)
-				}
-				st.Shards[id] = sts
 			}
 		}
 	}

@@ -1,8 +1,7 @@
 // Command asdf-status is a watch-style operator console for a running asdf
 // control node: it polls the status surface at an interval and renders a
 // refreshing per-instance / per-node table — supervisor state, breaker
-// state, per-shard sweep accounting, sync counters — with deltas since the
-// previous poll, so a degrading
+// state, sync counters — with deltas since the previous poll, so a degrading
 // deployment is visible as it degrades rather than at the next post-mortem.
 //
 // The snapshot comes from either the HTTP endpoint (GET /status on the
@@ -249,33 +248,6 @@ func render(w io.Writer, rep modules.StatusReport, prev *modules.StatusReport, i
 					delta(h.BytesSent, sentPrev, havePrev),
 					delta(h.BytesReceived, recvPrev, havePrev),
 					delta(h.TotalFailures, failsPrev, havePrev), h.Reconnects, last)
-			}
-		}
-		_ = tw.Flush()
-	}
-
-	if len(rep.Shards) > 0 {
-		fmt.Fprintln(w, "\nSHARDS")
-		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "INSTANCE\tSHARD\tNODES\tFANOUT\tSWEEPS\tERRORS\tLAST ERRS\tOPEN BRK\tLAST SWEEP")
-		for _, inst := range sortedKeys(rep.Shards) {
-			for _, st := range rep.Shards[inst] {
-				sweepsPrev, errsPrev := uint64(0), uint64(0)
-				havePrev := false
-				if prev != nil {
-					for _, ps := range prev.Shards[inst] {
-						if ps.Shard == st.Shard {
-							sweepsPrev, errsPrev = ps.Sweeps, ps.Errors
-							havePrev = true
-							break
-						}
-					}
-				}
-				fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%s\t%s\t%d\t%d\t%.1fms\n",
-					inst, st.Shard, st.Nodes, st.Fanout,
-					delta(st.Sweeps, sweepsPrev, havePrev),
-					delta(st.Errors, errsPrev, havePrev),
-					st.LastErrors, st.OpenBreakers, st.LastSweepSeconds*1000)
 			}
 		}
 		_ = tw.Flush()

@@ -44,13 +44,6 @@ func sampleReport() modules.StatusReport {
 				},
 			},
 		},
-		Shards: map[string][]modules.ShardStatus{
-			"collector": {
-				{Shard: 0, Nodes: 3, Fanout: 2, Sweeps: 40, LastSweepSeconds: 0.0042},
-				{Shard: 1, Nodes: 3, Fanout: 2, Sweeps: 40, Errors: 6,
-					LastErrors: 1, LastSweepSeconds: 0.0101, OpenBreakers: 1},
-			},
-		},
 		Leaders: map[string][]modules.LeaderStatus{
 			"collector": {
 				{Addr: "10.0.0.9:7411", Range: "0-64", Nodes: 64, Wire: "columnar",
@@ -84,7 +77,6 @@ func TestRenderTables(t *testing.T) {
 		"collector", "quarantined", "dial tcp: connection refused",
 		"sink", "healthy",
 		"BREAKERS", "node1:9999", "open", "SENT B", "62000",
-		"SHARDS", "10.1ms",
 		"LEADERS", "10.0.0.9:7411", "0-64", "columnar",
 		"IBUFFER", "buf0", "523", "17",
 		"SYNC", "logs", "node1:3",
@@ -95,6 +87,9 @@ func TestRenderTables(t *testing.T) {
 	}
 	if strings.Contains(out, "node2:") {
 		t.Errorf("render shows zero missing counter:\n%s", out)
+	}
+	if strings.Contains(out, "SHARDS") {
+		t.Errorf("render still has a SHARDS table:\n%s", out)
 	}
 }
 
@@ -147,13 +142,12 @@ func TestRenderDeltas(t *testing.T) {
 	}()
 	cur.Sync["logs"] = modules.SyncStatus{Partial: 3, Dropped: 4}                      // dropped +3
 	cur.Ibuffer["buf0"] = modules.IbufferStatus{Size: 10, Dropped: 22, Forwarded: 523} // dropped +5
-	cur.Shards["collector"][1].Errors = 10                                             // +4 over prev's 6
 	cur.Leaders["collector"][0].Partials = 46                                          // +6 over prev's 40
 
 	var buf bytes.Buffer
 	render(&buf, cur, &prev, time.Second)
 	out := buf.String()
-	for _, want := range []string{"12(+5)", "9(+2)", "4(+3)", "10(+4)", "5400(+400)", "62900(+900)", "46(+6)", "22(+5)"} {
+	for _, want := range []string{"12(+5)", "9(+2)", "4(+3)", "5400(+400)", "62900(+900)", "46(+6)", "22(+5)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render output missing delta %q:\n%s", want, out)
 		}
@@ -242,8 +236,8 @@ func TestOnceJSON(t *testing.T) {
 	if got.Instances[0].ID != "collector" || got.Instances[0].TotalFailures != 7 {
 		t.Errorf("-json round-trip = %+v", got.Instances[0])
 	}
-	if sts := got.Shards["collector"]; len(sts) != 2 || sts[1].OpenBreakers != 1 {
-		t.Errorf("-json shard round-trip = %+v", got.Shards)
+	if lss := got.Leaders["collector"]; len(lss) != 1 || lss[0].LeaderOpenBreakers != 1 {
+		t.Errorf("-json leader round-trip = %+v", got.Leaders)
 	}
 }
 

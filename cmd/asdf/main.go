@@ -64,8 +64,6 @@ func run(args []string) int {
 	quarThreshold := fs.Int("quarantine-threshold", 0, "consecutive module failures (error/panic/timeout) before an instance is quarantined (0 = never)")
 	quarCooldown := fs.Duration("quarantine-cooldown", 0, "quarantined-instance wait before a half-open re-probe (0 = default 10s)")
 	degrade := fs.String("degrade", "skip", "gap-fill policy for a quarantined instance's outputs: skip, hold, zero, or auto (tightens to hold while the open-breaker fraction is high)")
-	shards := fs.Int("shards", 0, "default shard-worker count for multi-node collection instances; the shards parameter overrides per instance (0 = single shard)")
-	shardFanout := fs.Int("shard-fanout", 0, "default per-shard concurrent-fetch budget; the shard_fanout parameter overrides per instance (0 = the instance's fanout)")
 	wire := fs.String("wire", "", "default wire format for rpc-mode collection instances: json or columnar (delta-encoded streams); the wire parameter overrides per instance")
 	stateFile := fs.String("state-file", "", "persist supervisor/breaker/watermark state to this file and restore it on restart (crash-safe control plane)")
 	stateInterval := fs.Duration("state-interval", 5*time.Second, "interval between state snapshots (with -state-file)")
@@ -111,8 +109,6 @@ func run(args []string) int {
 	env.RPCOptions.BreakerThreshold = *breakerThreshold
 	env.RPCOptions.BreakerCooldown = *breakerCooldown
 	env.RPCOptions.Clock = time.Now
-	env.DefaultShards = *shards
-	env.DefaultShardFanout = *shardFanout
 	env.DefaultWire = *wire
 	reg := asdf.NewRegistry(env)
 

@@ -260,42 +260,6 @@ func (in *Instance) FanoutParam() (int, error) {
 	return n, nil
 }
 
-// ShardParams are the sharded-collection knobs shared by the multi-node
-// data-collection modules (sadc, hadoop_log): the node set is partitioned
-// into `shards` contiguous node-index ranges, each swept by an independent
-// worker with its own `shard_fanout` concurrency budget, and the shard
-// partials are merged in node-index order so output is identical to an
-// unsharded sweep. Zero values mean "not set": the module falls back to its
-// environment-level defaults (and ultimately to a single shard).
-type ShardParams struct {
-	// Shards is the number of independent shard workers (0 = environment
-	// default, 1 = the unsharded sweep).
-	Shards int
-	// ShardFanout is each shard's concurrent-fetch budget (0 = the fanout
-	// parameter if set, else min(16, shard size)).
-	ShardFanout int
-}
-
-// ShardParams parses the sharding parameters (shards, shard_fanout) from
-// the instance. Absent parameters stay zero.
-func (in *Instance) ShardParams() (ShardParams, error) {
-	var p ShardParams
-	var err error
-	if p.Shards, err = in.IntParam("shards", 0); err != nil {
-		return p, err
-	}
-	if p.ShardFanout, err = in.IntParam("shard_fanout", 0); err != nil {
-		return p, err
-	}
-	if p.Shards < 0 {
-		return p, fmt.Errorf("config: instance %q: shards must be >= 0", in.ID)
-	}
-	if p.ShardFanout < 0 {
-		return p, fmt.Errorf("config: instance %q: shard_fanout must be >= 0", in.ID)
-	}
-	return p, nil
-}
-
 // FloatListParam parses a comma-separated list of floats, or returns def
 // when the parameter is absent.
 func (in *Instance) FloatListParam(key string, def []float64) ([]float64, error) {

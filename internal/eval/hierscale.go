@@ -16,10 +16,10 @@ import (
 // HierScaleConfig sizes the hierarchical-topology measurement: one root
 // sadc instance delegating its whole fleet to shard-leader processes
 // (in-process modules.Leader instances behind real loopback RPC servers,
-// columnar root hop) versus sweeping the fleet itself. As in the shard
-// measurement, the daemons are in-process fakes — a time.Sleep plus a
-// canned record — so the numbers isolate the topology's concurrency
-// structure and hop overhead from daemon cost.
+// columnar root hop) versus sweeping the fleet itself. The daemons are
+// in-process fakes — a time.Sleep plus a canned record — so the numbers
+// isolate the topology's concurrency structure and hop overhead from daemon
+// cost.
 type HierScaleConfig struct {
 	// NodeCounts are the simulated cluster sizes to measure.
 	NodeCounts []int
@@ -89,6 +89,22 @@ func MeasureHierScaling(cfg HierScaleConfig) ([]HierScalePoint, error) {
 	}
 	return points, nil
 }
+
+// delayedCaller fakes a collection daemon one network round trip away.
+type delayedCaller struct {
+	delay time.Duration
+	rec   sadc.Record
+}
+
+func (c *delayedCaller) Call(method string, params, result any) error {
+	time.Sleep(c.delay)
+	if rec, ok := result.(*sadc.Record); ok {
+		*rec = c.rec
+	}
+	return nil
+}
+
+func (c *delayedCaller) Close() error { return nil }
 
 // timeHierSweep builds one topology — leaders = 0 for the single-process
 // baseline — and returns the mean per-tick wall time over cfg.Ticks ticks.

@@ -14,7 +14,7 @@ import (
 // counter collection — serialized per tick over the JSON request/response
 // path and over the columnar delta stream. The measurement is codec-level
 // (no sockets), so it isolates bytes-on-the-wire and serialization cost
-// from scheduling, which the shardscale experiment covers.
+// from scheduling.
 type WireScaleConfig struct {
 	// NodeCounts are the simulated cluster sizes to measure.
 	NodeCounts []int

@@ -1,11 +1,12 @@
 // Package hierarchy defines the wire protocol between a root control node
 // and its shard-leader processes (asdf-shardd).
 //
-// PR 5's in-process sharding plateaus because one process still owns every
+// A single process sweeping the whole fleet plateaus because it owns every
 // daemon connection and every analysis tick. The hierarchical topology
-// promotes shards to separate processes: each leader runs the collection
-// plane (managed per-daemon connections, shard sweeps, columnar wire) for a
-// contiguous node-index range and serves merged per-tick partials upward;
+// splits the node range across processes: each leader runs the collection
+// plane (managed per-daemon connections, bounded-pool sweeps, columnar wire)
+// for a contiguous node-index range and serves merged per-tick partials
+// upward;
 // the root re-merges partials by node index, so sink output stays
 // byte-identical to the single-process configuration.
 //
@@ -16,8 +17,8 @@
 // columnar roots — including the credit-windowed server-push subscription
 // mode. This package holds only the protocol: method names, request and
 // response shapes, node-range arithmetic, and the leader accounting struct.
-// The leader implementation lives in internal/modules (reusing the module
-// sources and shard sweeper); the binary is cmd/asdf-shardd.
+// The leader implementation lives in internal/modules (reusing the modules'
+// source stack and sweep); the binary is cmd/asdf-shardd.
 package hierarchy
 
 import (

@@ -14,15 +14,16 @@ import (
 // mavgvec instance (nodes = N) must produce byte-identical sink output to N
 // per-node instances over the same collected data — same values, same
 // order, same downstream alarms — regardless of worker fanout, block size,
-// or how the fleet is collected (local, sharded, columnar RPC). Run under
+// or how the fleet is collected (per-node local, one multi-node local
+// instance, columnar RPC). Run under
 // -race these cases also prove the parallel kernels share no state.
 
 // batchCollector selects how the fleet is collected for an equivalence
-// case: per-node local sadc instances (the zero value), one sharded
-// multi-node instance, or a columnar-wire RPC fleet with loopback daemons.
+// case: per-node local sadc instances (the zero value), one multi-node
+// local instance, or a columnar-wire RPC fleet with loopback daemons.
 type batchCollector struct {
-	shards int
-	wire   string // "" = local collection; "columnar" = RPC daemons
+	multi bool
+	wire  string // "" = local collection; "columnar" = RPC daemons
 }
 
 // knnStage renders the classification stage and its sinks over the given
@@ -143,19 +144,14 @@ func runBatchEquivCase(t *testing.T, slaves int, seed int64, col batchCollector,
 			t.Cleanup(func() { _ = srv.Close() })
 			addrs = append(addrs, addr.String())
 		}
-		fmt.Fprintf(&b, "[sadc]\nid = cluster\nnodes = %s\nmode = rpc\naddrs = %s\nperiod = 1\nwire = %s\n",
+		fmt.Fprintf(&b, "[sadc]\nid = cluster\nnodes = %s\nmode = rpc\naddrs = %s\nperiod = 1\nwire = %s\n\n",
 			strings.Join(names, ","), strings.Join(addrs, ","), col.wire)
-		if col.shards > 1 {
-			fmt.Fprintf(&b, "shards = %d\n", col.shards)
-		}
-		b.WriteString("\n")
 		for i, n := range names {
 			src[i] = "cluster." + n
 		}
-	case col.shards > 0:
+	case col.multi:
 		env = simEnv(c)
-		fmt.Fprintf(&b, "[sadc]\nid = cluster\nnodes = %s\nperiod = 1\nshards = %d\n\n",
-			strings.Join(names, ","), col.shards)
+		fmt.Fprintf(&b, "[sadc]\nid = cluster\nnodes = %s\nperiod = 1\n\n", strings.Join(names, ","))
 		for i, n := range names {
 			src[i] = "cluster." + n
 		}
@@ -199,12 +195,12 @@ func TestBatchedAnalysisMatchesPerNode(t *testing.T) {
 		{"knn-local-ragged-block", knnStage, 5, 1501, batchCollector{}, 2},
 		// Default block (64) larger than the node count: one block total.
 		{"knn-local-default-block", knnStage, 4, 1502, batchCollector{}, 0},
-		// Sharded collection feeding the batched classifier; 6 % 4 != 0.
-		{"knn-sharded-collection", knnStage, 6, 1503, batchCollector{shards: 2}, 4},
-		// Columnar RPC fleet, sharded root, ragged block (4 % 3 != 0).
-		{"knn-columnar-fleet", knnStage, 4, 1504, batchCollector{wire: "columnar", shards: 2}, 3},
+		// One multi-node collector feeding the batched classifier; 6 % 4 != 0.
+		{"knn-multi-node-collection", knnStage, 6, 1503, batchCollector{multi: true}, 4},
+		// Columnar RPC fleet, ragged block (4 % 3 != 0).
+		{"knn-columnar-fleet", knnStage, 4, 1504, batchCollector{wire: "columnar"}, 3},
 		{"mavgvec-local-ragged-block", mavgvecStage, 5, 1505, batchCollector{}, 2},
-		{"mavgvec-sharded-collection", mavgvecStage, 6, 1506, batchCollector{shards: 3}, 0},
+		{"mavgvec-multi-node-collection", mavgvecStage, 6, 1506, batchCollector{multi: true}, 0},
 		{"mavgvec-columnar-fleet", mavgvecStage, 4, 1507, batchCollector{wire: "columnar"}, 3},
 	}
 	for _, tc := range cases {

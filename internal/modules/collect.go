@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,16 +35,9 @@ import (
 //	addrs        = host1:p,host2:p,...  (rpc, multi-node form; parallel to nodes)
 //	fanout       = <int>                (multi-node: max concurrent collects;
 //	                                     default min(16, numNodes), 1 = serial)
-//	shards       = <int>                (independent shard workers over the node
-//	                                     set; default 1 = the unsharded sweep)
-//	shard_fanout = <int>                (per-shard concurrent-fetch budget;
-//	                                     default: the fanout parameter)
-//	batch        = true | false         (rpc: fetch per-metric-group methods in
-//	                                     one rpc.Batch frame per node per tick)
 //	wire         = json | columnar      (rpc: per-node transport; columnar opens
-//	                                     a delta-encoded stream and supersedes
-//	                                     batch, falling back to the JSON path —
-//	                                     batched or not — when a daemon predates
+//	                                     a delta-encoded stream, falling back
+//	                                     to the JSON path when a daemon predates
 //	                                     the stream protocol; default: json, or
 //	                                     the environment's -wire flag)
 //	subscribe    = true | false         (columnar: server-push subscription
@@ -64,23 +56,15 @@ import (
 //	pids         = 3001,3002            (single-node: adds outputs proc_<pid>)
 //
 // In rpc mode each node keeps its own supervised ManagedClient, so breaker
-// state and reconnect backoff stay per node regardless of fanout or shard
-// count. With shards >= 2 the node set is split into contiguous node-index
-// ranges swept by independent worker pools; results are still merged in
-// node-index order, so output is identical to the unsharded sweep. wire =
-// columnar composes with both: each node's stream rides its own managed
-// connection, whichever shard sweeps it.
+// state and reconnect backoff stay per node regardless of fanout, and under
+// wire = columnar each node's stream rides that connection. Whatever order
+// the pool's fetches complete in, results are merged in node-index order, so
+// output is identical to a serial sweep.
 type sadcModule struct {
-	env     *Env
-	id      string
-	nodes   []string
-	single  bool // the node= form: output0 plus iface/pid extras
-	sources []MetricSource
-	clients []rpc.Caller // rpc mode: parallel to nodes; nil otherwise
+	collectPlane
+	single  bool           // the node= form: output0 plus iface/pid extras
+	sources []MetricSource // parallel to nodes; nil where a leader owns the node
 	outs    []*core.OutputPort
-	fanout  int
-	sharder *shardSweeper
-	hier    *leaderSet // delegated ranges (leaders =); nil without delegation
 
 	// Replay guard (crash-safe restart): lastPub is the newest published
 	// tick (unixnano; atomic so the state snapshotter can read it beside a
@@ -94,46 +78,38 @@ type sadcModule struct {
 	ifaceOuts map[string]*core.OutputPort
 	pidOuts   map[int]*core.OutputPort
 
-	// fan-out scratch, indexed by node; results are merged in node order
-	// after the concurrent sweep so output stays deterministic.
+	// fan-out scratch, indexed by node (beside collectPlane.errs); results
+	// are merged in node order after the concurrent sweep so output stays
+	// deterministic.
 	recs []*sadc.Record
-	errs []error
 }
 
 func (m *sadcModule) Init(ctx *core.InitContext) error {
-	m.id = ctx.ID()
 	cfg := ctx.Config()
 	node := cfg.StringParam("node", "")
 	nodesParam := cfg.StringParam("nodes", "")
+	nodes := []string{node}
 	switch {
 	case node != "" && nodesParam != "":
 		return fmt.Errorf("sadc: node and nodes are mutually exclusive")
 	case node != "":
-		m.nodes = []string{node}
 		m.single = true
 	case nodesParam != "":
-		m.nodes = splitList(nodesParam)
-		if len(m.nodes) == 0 {
-			return fmt.Errorf("sadc: empty node list")
+		var err error
+		if nodes, err = listParam(cfg, "sadc", "nodes"); err != nil {
+			return err
 		}
 	default:
 		return errMissingParam("sadc", "node")
 	}
-	period, err := cfg.DurationParam("period", time.Second)
+	cp, err := parseCollectParams(cfg, m.env, "sadc", len(nodes))
 	if err != nil {
 		return err
 	}
-	if m.fanout, err = cfg.FanoutParam(); err != nil {
-		return err
+	if len(cp.leaders) > 0 && m.single {
+		return fmt.Errorf("sadc: leaders requires the multi-node (nodes =) form")
 	}
-	sp, err := cfg.ShardParams()
-	if err != nil {
-		return err
-	}
-	batch, err := cfg.BoolParam("batch", false)
-	if err != nil {
-		return err
-	}
+	m.collectPlane = newCollectPlane(m.env, ctx.ID(), nodes, cp.fanout)
 	m.ifaces = splitList(cfg.StringParam("ifaces", ""))
 	for _, p := range splitList(cfg.StringParam("pids", "")) {
 		pid, err := strconv.Atoi(p)
@@ -142,35 +118,16 @@ func (m *sadcModule) Init(ctx *core.InitContext) error {
 		}
 		m.pids = append(m.pids, pid)
 	}
-	mode := cfg.StringParam("mode", "local")
-	if batch && mode != "rpc" {
-		return fmt.Errorf("sadc: batch = true requires mode = rpc")
-	}
-	wp, err := parseWireParams(cfg, m.env, "sadc", mode)
-	if err != nil {
-		return err
-	}
-	leaderAddrs, leaderRanges, err := parseHierParams(cfg, "sadc", mode, len(m.nodes))
-	if err != nil {
-		return err
-	}
-	if len(leaderAddrs) > 0 && m.single {
-		return fmt.Errorf("sadc: leaders requires the multi-node (nodes =) form")
-	}
-	switch mode {
-	case "local":
-		for _, n := range m.nodes {
+	m.sources = make([]MetricSource, len(m.nodes))
+	if cp.mode == "local" {
+		for i, n := range m.nodes {
 			provider, ok := m.env.Procfs[n]
 			if !ok {
 				return fmt.Errorf("sadc: no procfs provider registered for node %q", n)
 			}
-			m.sources = append(m.sources, sadc.NewCollector(provider))
+			m.sources[i] = sadc.NewCollector(provider)
 		}
-	case "rpc":
-		rp, err := cfg.ResilienceParams()
-		if err != nil {
-			return err
-		}
+	} else {
 		var addrs []string
 		if m.single {
 			addr := cfg.StringParam("addr", "")
@@ -178,69 +135,19 @@ func (m *sadcModule) Init(ctx *core.InitContext) error {
 				return errMissingParam("sadc", "addr")
 			}
 			addrs = []string{addr}
-		} else {
-			addrsParam := cfg.StringParam("addrs", "")
-			if addrsParam == "" {
-				return errMissingParam("sadc", "addrs")
-			}
-			addrs = splitList(addrsParam)
-			if len(addrs) != len(m.nodes) {
-				return fmt.Errorf("sadc: %d addrs for %d nodes", len(addrs), len(m.nodes))
-			}
+		} else if addrs, err = listParam(cfg, "sadc", "addrs"); err != nil {
+			return err
 		}
-		delegated := markDelegated(len(m.nodes), leaderRanges)
-		for i, a := range addrs {
-			if delegated != nil && delegated[i] {
-				// The leader owns this node's daemon connection; the addrs
-				// entry is a "-" placeholder (a real address is tolerated so
-				// a config can flip delegation on and off without edits).
-				m.clients = append(m.clients, nil)
-				m.sources = append(m.sources, nil)
-				continue
-			}
-			if a == "-" {
-				return fmt.Errorf("sadc: addr %q for undelegated node %s", a, m.nodes[i])
-			}
-			client, err := m.env.dial(a, "asdf-sadc", rp)
-			if err != nil {
-				return fmt.Errorf("sadc[%s]: dial %s: %w", m.nodes[i], a, err)
-			}
-			m.clients = append(m.clients, client)
-			var src MetricSource
-			if batch {
-				bc, ok := client.(rpc.BatchCaller)
-				if !ok {
-					return fmt.Errorf("sadc[%s]: batch = true requires a batch-capable client", m.nodes[i])
-				}
-				if src, err = NewBatchedMetricSource(bc, m.ifaces, m.pids); err != nil {
-					return fmt.Errorf("sadc[%s]: %w", m.nodes[i], err)
-				}
-			} else {
-				src = NewRPCMetricSource(client)
-			}
-			if wp.columnar {
-				// The JSON source built above becomes the fallback for
-				// daemons that predate the stream protocol. A custom Dial
-				// hook without stream support keeps the JSON path outright.
-				if so, ok := client.(streamOpener); ok {
-					if src, err = NewColumnarMetricSource(so, wp, m.nodes[i], m.ifaces, m.pids, src); err != nil {
-						return fmt.Errorf("sadc[%s]: %w", m.nodes[i], err)
-					}
-				}
-			}
-			m.sources = append(m.sources, src)
+		err = m.connect("sadc", "asdf-sadc", cp, addrs,
+			hierarchy.MethodSadcStream, len(sadc.NodeMetricNames),
+			func(i int, client rpc.Caller) (err error) {
+				m.sources[i], err = newMetricSource(client, cp.wp, m.nodes[i], m.ifaces, m.pids)
+				return err
+			})
+		if err != nil {
+			return err
 		}
-		if len(leaderAddrs) > 0 {
-			m.hier, err = newLeaderSet(m.env, ctx.ID(), m.nodes, leaderAddrs, leaderRanges,
-				rp, wp, hierarchy.MethodSadcStream, len(sadc.NodeMetricNames))
-			if err != nil {
-				return fmt.Errorf("sadc: %w", err)
-			}
-		}
-	default:
-		return fmt.Errorf("sadc: unknown mode %q", mode)
 	}
-	m.sharder = newShardSweeper(m.env, ctx.ID(), len(m.nodes), sp, m.fanout)
 
 	if m.single {
 		out, err := ctx.NewOutput("output0", core.Origin{
@@ -284,65 +191,23 @@ func (m *sadcModule) Init(ctx *core.InitContext) error {
 				return fmt.Errorf("sadc: parameter %q requires the single-node (node =) form", p)
 			}
 		}
-		for _, n := range m.nodes {
-			out, err := ctx.NewOutput(n, core.Origin{
-				Node:   n,
-				Source: "sadc",
-				Metric: "node-metrics",
-			})
-			if err != nil {
-				return err
-			}
-			m.outs = append(m.outs, out)
+		if m.outs, err = m.nodeOutputs(ctx, "sadc", "node-metrics"); err != nil {
+			return err
 		}
 	}
 	m.recs = make([]*sadc.Record, len(m.nodes))
-	m.errs = make([]error, len(m.nodes))
-	return ctx.SchedulePeriodic(period)
-}
-
-// splitList splits a comma-separated parameter, dropping empties.
-func splitList(v string) []string {
-	var out []string
-	for _, p := range strings.Split(v, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
+	return ctx.SchedulePeriodic(cp.period)
 }
 
 func (m *sadcModule) Run(ctx *core.RunContext) error {
 	if ctx.Reason != core.RunPeriodic {
 		return nil
 	}
-	// Delegated ranges are fetched from their leaders concurrently with the
-	// direct sweep; the two paths write disjoint node indexes of the same
-	// scratch, and the serial merge below reads both in node order.
-	var hierWG sync.WaitGroup
-	if m.hier != nil {
-		hierWG.Add(1)
-		go func() {
-			defer hierWG.Done()
-			m.hier.sweepSadc(m.recs, m.errs)
-		}()
-	}
-	m.sharder.sweep(func(i int) error {
-		if m.sources[i] == nil {
-			return nil // delegated to a leader
+	m.sweep(func(i int) {
+		if m.sources[i] != nil {
+			m.recs[i], m.errs[i] = m.sources[i].Collect()
 		}
-		m.recs[i], m.errs[i] = m.sources[i].Collect()
-		return m.errs[i]
-	})
-	hierWG.Wait()
-	if m.clients != nil || m.hier != nil {
-		open, total := countBreakers(m.clients)
-		if m.hier != nil {
-			ho, ht := countBreakers(m.hier.clients())
-			open, total = open+ho, total+ht
-		}
-		m.env.Adaptive.ObserveBreakers(m.id, open, total)
-	}
+	}, func(ls *leaderSet) { ls.sweepSadc(m.recs, m.errs) })
 	// Replayed tick: a restarted control node resumes at the persisted
 	// watermark; collection still runs (warming rate state), but nothing
 	// at or before an already-published timestamp is re-published.
@@ -401,27 +266,6 @@ func (m *sadcModule) RestoreReplayWatermark(t time.Time) {
 	m.lastPub.Store(t.UnixNano())
 }
 
-// ExportBreakerSnapshots snapshots per-node breaker state — leader
-// connections included — for persistence (nil in local mode or with an
-// unsupervised custom dialer).
-func (m *sadcModule) ExportBreakerSnapshots() map[string]rpc.BreakerSnapshot {
-	out := exportBreakers(m.clients)
-	if m.hier != nil {
-		out = mergeBreakerSnaps(out, exportBreakers(m.hier.clients()))
-	}
-	return out
-}
-
-// ImportBreakerSnapshots restores persisted breaker state, staggering
-// re-probes of non-closed breakers through plan.
-func (m *sadcModule) ImportBreakerSnapshots(snaps map[string]rpc.BreakerSnapshot, plan *rpc.ProbePlanner) int {
-	n := importBreakers(m.clients, snaps, plan)
-	if m.hier != nil {
-		n += importBreakers(m.hier.clients(), snaps, plan)
-	}
-	return n
-}
-
 // ClientHealth reports the supervised connection's health for the
 // single-node rpc form; ok is false in local mode, the multi-node form, or
 // with an unsupervised custom dialer.
@@ -430,40 +274,6 @@ func (m *sadcModule) ClientHealth() (rpc.Health, bool) {
 		return rpc.Health{}, false
 	}
 	return sourceHealth(m.clients[0])
-}
-
-// ClientHealths reports per-node connection health in rpc mode (nil in
-// local mode or with an unsupervised custom dialer), keyed by node name;
-// leader connections appear as "leader:<addr>" rows.
-func (m *sadcModule) ClientHealths() map[string]rpc.Health {
-	if m.clients == nil && m.hier == nil {
-		return nil
-	}
-	out := make(map[string]rpc.Health, len(m.clients))
-	for i, c := range m.clients {
-		if h, ok := sourceHealth(c); ok {
-			out[m.nodes[i]] = h
-		}
-	}
-	if m.hier != nil {
-		m.hier.healths(out)
-	}
-	return out
-}
-
-// ShardStatuses reports per-shard sweep accounting (with per-shard open
-// breaker counts in rpc mode); nil when the instance runs a single shard.
-func (m *sadcModule) ShardStatuses() []ShardStatus {
-	return m.sharder.statusesWithBreakers(m.clients)
-}
-
-// LeaderStatuses reports per-leader delegation accounting; nil without
-// delegated ranges.
-func (m *sadcModule) LeaderStatuses() []LeaderStatus {
-	if m.hier == nil {
-		return nil
-	}
-	return m.hier.statuses()
 }
 
 var _ core.Module = (*sadcModule)(nil)
@@ -494,10 +304,6 @@ var _ core.Module = (*sadcModule)(nil)
 //	addrs         = host1:p,host2:p,...     (required for rpc; parallel to nodes)
 //	fanout        = <int>                   (max concurrent fetches per period;
 //	                                         default min(16, numNodes), 1 = serial)
-//	shards        = <int>                   (independent shard workers over the
-//	                                         node set; default 1)
-//	shard_fanout  = <int>                   (per-shard fetch budget; default:
-//	                                         the fanout parameter)
 //	wire          = json | columnar         (rpc: per-node transport; columnar
 //	                                         streams delta-encoded vectors and
 //	                                         falls back to JSON per node when a
@@ -521,28 +327,21 @@ var _ core.Module = (*sadcModule)(nil)
 //	                                         controller, Env.Adaptive)
 //
 // Per-node fetches run concurrently under a bounded worker pool (fanout),
-// optionally partitioned into shards each running its own pool, but
-// results are merged into the synchronization state in node-index order,
+// but results are merged into the synchronization state in node-index order,
 // so publish order and the strict/degraded sync semantics are identical to
-// a serial sweep whatever the shard count. In rpc mode the resilience
+// a serial sweep whatever the pool's width. In rpc mode the resilience
 // knobs reconnect_backoff, call_timeout, breaker_threshold, and
 // breaker_cooldown tune the per-node managed connections, each of which
 // keeps its own breaker state regardless of fanout.
 type hadoopLogModule struct {
-	env     *Env
-	id      string
+	collectPlane
 	kind    hadooplog.Kind
-	nodes   []string
-	sources []LogSource
-	clients []rpc.Caller // rpc mode: parallel to nodes; nil otherwise
+	sources []LogSource // parallel to nodes; nil where a leader owns the node
 	outs    []*core.OutputPort
-	fanout  int
-	sharder *shardSweeper
-	hier    *leaderSet // delegated ranges (leaders =); nil without delegation
 
-	// fan-out scratch, indexed by node; merged serially in node order.
+	// fan-out scratch, indexed by node (beside collectPlane.errs); merged
+	// serially in node order.
 	fetched [][]hadooplog.StateVector
-	errs    []error
 
 	syncDeadline time.Duration // 0 = strict: wait for every node
 	syncQuorum   int           // minimum reporters for a partial publish
@@ -568,7 +367,6 @@ type hadoopLogModule struct {
 }
 
 func (m *hadoopLogModule) Init(ctx *core.InitContext) error {
-	m.id = ctx.ID()
 	cfg := ctx.Config()
 	switch cfg.StringParam("kind", "") {
 	case "tasktracker":
@@ -582,126 +380,55 @@ func (m *hadoopLogModule) Init(ctx *core.InitContext) error {
 	}
 	m.statesPerVec = hadooplog.MetricDims(m.kind)
 
-	nodesParam := cfg.StringParam("nodes", "")
-	if nodesParam == "" {
-		return errMissingParam("hadoop_log", "nodes")
-	}
-	for _, n := range strings.Split(nodesParam, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			m.nodes = append(m.nodes, n)
-		}
-	}
-	if len(m.nodes) == 0 {
-		return fmt.Errorf("hadoop_log: empty node list")
-	}
-
-	period, err := cfg.DurationParam("period", time.Second)
+	nodes, err := listParam(cfg, "hadoop_log", "nodes")
 	if err != nil {
 		return err
 	}
-	if m.fanout, err = cfg.FanoutParam(); err != nil {
-		return err
-	}
-	sp, err := cfg.ShardParams()
+	cp, err := parseCollectParams(cfg, m.env, "hadoop_log", len(nodes))
 	if err != nil {
 		return err
 	}
-	rp, err := cfg.ResilienceParams()
-	if err != nil {
-		return err
-	}
-	m.syncDeadline = rp.SyncDeadline
-	m.syncQuorum = rp.SyncQuorum
-	m.quorumAuto = rp.SyncQuorumAuto
+	m.collectPlane = newCollectPlane(m.env, ctx.ID(), nodes, cp.fanout)
+	m.syncDeadline = cp.rp.SyncDeadline
+	m.syncQuorum = cp.rp.SyncQuorum
+	m.quorumAuto = cp.rp.SyncQuorumAuto
 	if m.syncQuorum == 0 || m.syncQuorum > len(m.nodes) {
 		m.syncQuorum = len(m.nodes) // default (and auto baseline): strict
 	}
 
-	mode := cfg.StringParam("mode", "local")
-	wp, err := parseWireParams(cfg, m.env, "hadoop_log", mode)
-	if err != nil {
-		return err
-	}
-	leaderAddrs, leaderRanges, err := parseHierParams(cfg, "hadoop_log", mode, len(m.nodes))
-	if err != nil {
-		return err
-	}
-	switch mode {
-	case "local":
-		for _, n := range m.nodes {
-			var buf *hadooplog.Buffer
-			var ok bool
-			if m.kind == hadooplog.KindTaskTracker {
-				buf, ok = m.env.TTLogs[n]
-			} else {
-				buf, ok = m.env.DNLogs[n]
-			}
+	m.sources = make([]LogSource, len(m.nodes))
+	if cp.mode == "local" {
+		logs := m.env.TTLogs
+		if m.kind == hadooplog.KindDataNode {
+			logs = m.env.DNLogs
+		}
+		for i, n := range m.nodes {
+			buf, ok := logs[n]
 			if !ok {
 				return fmt.Errorf("hadoop_log: no %s log registered for node %q", m.kind, n)
 			}
-			m.sources = append(m.sources, NewBufferLogSource(m.kind, buf))
+			m.sources[i] = NewBufferLogSource(m.kind, buf)
 		}
-	case "rpc":
-		addrsParam := cfg.StringParam("addrs", "")
-		if addrsParam == "" {
-			return errMissingParam("hadoop_log", "addrs")
-		}
-		addrs := strings.Split(addrsParam, ",")
-		if len(addrs) != len(m.nodes) {
-			return fmt.Errorf("hadoop_log: %d addrs for %d nodes", len(addrs), len(m.nodes))
-		}
-		delegated := markDelegated(len(m.nodes), leaderRanges)
-		for i, a := range addrs {
-			addr := strings.TrimSpace(a)
-			if delegated != nil && delegated[i] {
-				// The leader owns this node's daemon connection ("-"
-				// placeholder; a real address is tolerated).
-				m.clients = append(m.clients, nil)
-				m.sources = append(m.sources, nil)
-				continue
-			}
-			if addr == "-" {
-				return fmt.Errorf("hadoop_log: addr %q for undelegated node %s", addr, m.nodes[i])
-			}
-			client, err := m.env.dial(addr, "asdf-hadoop-log", rp)
-			if err != nil {
-				return fmt.Errorf("hadoop_log[%s]: dial %s: %w", m.nodes[i], addr, err)
-			}
-			m.clients = append(m.clients, client)
-			src := NewRPCLogSource(client, m.kind)
-			if wp.columnar {
-				// As with sadc: the JSON source is the fallback; a custom
-				// Dial hook without stream support keeps the JSON path.
-				if so, ok := client.(streamOpener); ok {
-					if src, err = NewColumnarLogSource(so, wp, m.nodes[i], m.kind, src); err != nil {
-						return fmt.Errorf("hadoop_log[%s]: %w", m.nodes[i], err)
-					}
-				}
-			}
-			m.sources = append(m.sources, src)
-		}
-		if len(leaderAddrs) > 0 {
-			m.hier, err = newLeaderSet(m.env, ctx.ID(), m.nodes, leaderAddrs, leaderRanges,
-				rp, wp, hierarchy.MethodLogStream, m.statesPerVec)
-			if err != nil {
-				return fmt.Errorf("hadoop_log: %w", err)
-			}
-		}
-	default:
-		return fmt.Errorf("hadoop_log: unknown mode %q", mode)
-	}
-
-	metric := strings.Join(hadooplog.MetricNamesFor(m.kind), ",")
-	for _, n := range m.nodes {
-		out, err := ctx.NewOutput(n, core.Origin{
-			Node:   n,
-			Source: "hadoop_log_" + m.kind.String(),
-			Metric: metric,
-		})
+	} else {
+		addrs, err := listParam(cfg, "hadoop_log", "addrs")
 		if err != nil {
 			return err
 		}
-		m.outs = append(m.outs, out)
+		err = m.connect("hadoop_log", "asdf-hadoop-log", cp, addrs,
+			hierarchy.MethodLogStream, m.statesPerVec,
+			func(i int, client rpc.Caller) (err error) {
+				m.sources[i], err = newLogSource(client, cp.wp, m.nodes[i], m.kind)
+				return err
+			})
+		if err != nil {
+			return err
+		}
+	}
+
+	m.outs, err = m.nodeOutputs(ctx, "hadoop_log_"+m.kind.String(),
+		strings.Join(hadooplog.MetricNamesFor(m.kind), ","))
+	if err != nil {
+		return err
 	}
 	m.pending = make([]map[int64][]float64, len(m.nodes))
 	m.maxSeen = make([]int64, len(m.nodes))
@@ -722,9 +449,7 @@ func (m *hadoopLogModule) Init(ctx *core.InitContext) error {
 		}
 	}
 	m.fetched = make([][]hadooplog.StateVector, len(m.nodes))
-	m.errs = make([]error, len(m.nodes))
-	m.sharder = newShardSweeper(m.env, ctx.ID(), len(m.nodes), sp, m.fanout)
-	return ctx.SchedulePeriodic(period)
+	return ctx.SchedulePeriodic(cp.period)
 }
 
 func (m *hadoopLogModule) Run(ctx *core.RunContext) error {
@@ -732,35 +457,13 @@ func (m *hadoopLogModule) Run(ctx *core.RunContext) error {
 	if now.IsZero() {
 		now = m.env.now()
 	}
-	// Fetch every node concurrently (partitioned across shards when
-	// configured); merge serially by node index below so the sync state
-	// (and therefore publish order) matches a serial sweep. Delegated
-	// ranges fetch from their leaders in parallel with the direct sweep;
-	// the paths write disjoint node indexes.
-	var hierWG sync.WaitGroup
-	if m.hier != nil {
-		hierWG.Add(1)
-		go func() {
-			defer hierWG.Done()
-			m.hier.sweepLog(m.fetched, m.errs)
-		}()
-	}
-	m.sharder.sweep(func(i int) error {
-		if m.sources[i] == nil {
-			return nil // delegated to a leader
+	// Fetch every node concurrently; merge serially by node index below so
+	// the sync state (and therefore publish order) matches a serial sweep.
+	m.sweep(func(i int) {
+		if m.sources[i] != nil {
+			m.fetched[i], m.errs[i] = m.sources[i].Fetch(now)
 		}
-		m.fetched[i], m.errs[i] = m.sources[i].Fetch(now)
-		return m.errs[i]
-	})
-	hierWG.Wait()
-	if m.clients != nil || m.hier != nil {
-		open, total := countBreakers(m.clients)
-		if m.hier != nil {
-			ho, ht := countBreakers(m.hier.clients())
-			open, total = open+ho, total+ht
-		}
-		m.env.Adaptive.ObserveBreakers(m.id, open, total)
-	}
+	}, func(ls *leaderSet) { ls.sweepLog(m.fetched, m.errs) })
 	var firstErr error
 	ne := m.nextEmit.Load()
 	for i := range m.sources {
@@ -814,27 +517,6 @@ func (m *hadoopLogModule) RestoreReplayWatermark(t time.Time) {
 	m.nextEmit.Store(t.Unix() + 1)
 }
 
-// ExportBreakerSnapshots snapshots per-node breaker state — leader
-// connections included — for persistence (nil in local mode or with an
-// unsupervised custom dialer).
-func (m *hadoopLogModule) ExportBreakerSnapshots() map[string]rpc.BreakerSnapshot {
-	out := exportBreakers(m.clients)
-	if m.hier != nil {
-		out = mergeBreakerSnaps(out, exportBreakers(m.hier.clients()))
-	}
-	return out
-}
-
-// ImportBreakerSnapshots restores persisted breaker state, staggering
-// re-probes of non-closed breakers through plan.
-func (m *hadoopLogModule) ImportBreakerSnapshots(snaps map[string]rpc.BreakerSnapshot, plan *rpc.ProbePlanner) int {
-	n := importBreakers(m.clients, snaps, plan)
-	if m.hier != nil {
-		n += importBreakers(m.hier.clients(), snaps, plan)
-	}
-	return n
-}
-
 // emitSynchronized resolves pending seconds in order. A second is resolved
 // when it is *final*: every node has data for it (complete), or every node
 // has revealed newer data (the §3.7 strict rule: it will never complete),
@@ -852,13 +534,8 @@ func (m *hadoopLogModule) emitSynchronized(now time.Time) {
 	if m.quorumAuto {
 		// sync_quorum = auto: the adaptive controller derives the quorum
 		// from this instance's live open-breaker count (strict while the
-		// controller is relaxed or absent). A leader breaker counts once,
-		// even though it gates a whole range — deliberately conservative.
-		open, _ := countBreakers(m.clients)
-		if m.hier != nil {
-			ho, _ := countBreakers(m.hier.clients())
-			open += ho
-		}
+		// controller is relaxed or absent).
+		open, _ := m.breakers()
 		quorum = m.env.Adaptive.EffectiveQuorum(m.id, len(m.nodes), open)
 	}
 	// frontier: newest second every node has reached (-1 while some node
@@ -946,40 +623,6 @@ func (m *hadoopLogModule) MissingByNode() map[string]uint64 {
 		out[n] = m.missing[i]
 	}
 	return out
-}
-
-// ClientHealths reports per-node connection health in rpc mode (nil in
-// local mode or with an unsupervised custom dialer), keyed by node name;
-// leader connections appear as "leader:<addr>" rows.
-func (m *hadoopLogModule) ClientHealths() map[string]rpc.Health {
-	if m.clients == nil && m.hier == nil {
-		return nil
-	}
-	out := make(map[string]rpc.Health, len(m.clients))
-	for i, c := range m.clients {
-		if h, ok := sourceHealth(c); ok {
-			out[m.nodes[i]] = h
-		}
-	}
-	if m.hier != nil {
-		m.hier.healths(out)
-	}
-	return out
-}
-
-// ShardStatuses reports per-shard sweep accounting (with per-shard open
-// breaker counts in rpc mode); nil when the instance runs a single shard.
-func (m *hadoopLogModule) ShardStatuses() []ShardStatus {
-	return m.sharder.statusesWithBreakers(m.clients)
-}
-
-// LeaderStatuses reports per-leader delegation accounting; nil without
-// delegated ranges.
-func (m *hadoopLogModule) LeaderStatuses() []LeaderStatus {
-	if m.hier == nil {
-		return nil
-	}
-	return m.hier.statuses()
 }
 
 var _ core.Module = (*hadoopLogModule)(nil)

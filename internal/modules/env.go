@@ -47,13 +47,6 @@ type Env struct {
 	// Clock supplies "now" for log flushing; defaults to time.Now. The
 	// offline evaluation harness injects virtual time.
 	Clock func() time.Time
-	// DefaultShards and DefaultShardFanout are environment-level defaults
-	// for the multi-node collection modules' shards / shard_fanout
-	// parameters (cmd/asdf's -shards / -shard-fanout flags). Instance
-	// parameters override; zero keeps a single shard whose fanout budget
-	// is the instance's fanout parameter.
-	DefaultShards      int
-	DefaultShardFanout int
 	// DefaultWire is the environment-level default for the rpc-mode
 	// collection modules' wire parameter (cmd/asdf's -wire flag): "json"
 	// (or empty) keeps the JSON request/response path, "columnar" opens
@@ -147,8 +140,8 @@ func Register(reg *core.Registry, env *Env) {
 	if env == nil {
 		env = NewEnv()
 	}
-	reg.Register("sadc", func() core.Module { return &sadcModule{env: env} })
-	reg.Register("hadoop_log", func() core.Module { return &hadoopLogModule{env: env} })
+	reg.Register("sadc", func() core.Module { return &sadcModule{collectPlane: collectPlane{env: env}} })
+	reg.Register("hadoop_log", func() core.Module { return &hadoopLogModule{collectPlane: collectPlane{env: env}} })
 	reg.Register("mavgvec", func() core.Module { return &mavgvecModule{} })
 	reg.Register("knn", func() core.Module { return &knnModule{} })
 	reg.Register("ibuffer", func() core.Module { return &ibufferModule{env: env} })

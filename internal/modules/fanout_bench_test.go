@@ -30,58 +30,6 @@ func (c *delayedSadcCaller) Call(method string, params, result any) error {
 
 func (c *delayedSadcCaller) Close() error { return nil }
 
-// BenchmarkCollectionShards measures per-tick collection latency at
-// simulated-cluster scale: one multi-node sadc instance polling daemons
-// with a fixed 500µs per-RPC latency, swept by a single shard (the
-// pre-sharding path, default fanout of 16) versus eight shards of 16
-// workers each. Per-tick latency is latency-bound — nodes/(shards×fanout)
-// round trips — so the sharded sweep must show a multiple-x win at 512
-// nodes. The mode=... suffix is stripped by the CI benchstat step to
-// produce the serial-vs-sharded comparison.
-func BenchmarkCollectionShards(b *testing.B) {
-	const rpcLatency = 500 * time.Microsecond
-	for _, nodes := range []int{128, 512, 1024} {
-		for _, mode := range []struct {
-			name                string
-			shards, shardFanout int
-		}{{"serial", 1, 0}, {"sharded", 8, 16}} {
-			b.Run(fmt.Sprintf("nodes=%d/mode=%s", nodes, mode.name), func(b *testing.B) {
-				names := make([]string, nodes)
-				addrs := make([]string, nodes)
-				for i := range names {
-					names[i] = fmt.Sprintf("n%04d", i)
-					addrs[i] = fmt.Sprintf("10.0.0.%d:9999", i)
-				}
-				env := NewEnv()
-				env.Dial = func(addr, client string) (rpc.Caller, error) {
-					return &delayedSadcCaller{
-						delay: rpcLatency,
-						rec:   sadc.Record{Node: make([]float64, 64)},
-					}, nil
-				}
-				cfgText := fmt.Sprintf(
-					"[sadc]\nid = collect\nnodes = %s\nmode = rpc\naddrs = %s\nperiod = 1s\nshards = %d\nshard_fanout = %d\n",
-					strings.Join(names, ","), strings.Join(addrs, ","), mode.shards, mode.shardFanout)
-				file, err := config.ParseString(cfgText)
-				if err != nil {
-					b.Fatal(err)
-				}
-				eng, err := core.NewEngine(NewRegistry(env), file)
-				if err != nil {
-					b.Fatal(err)
-				}
-				start := time.Unix(1_700_000_000, 0)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := eng.Tick(start.Add(time.Duration(i+1) * time.Second)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkCollectionFanout measures the per-tick collection latency of one
 // multi-node sadc instance polling simulated daemons with a fixed 500µs
 // per-RPC latency, serial (fanout=1) versus the bounded worker pool

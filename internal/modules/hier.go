@@ -158,8 +158,8 @@ func (link *leaderLink) account(err error, stats *hierarchy.Stats) {
 // leaderSet is a collection instance's delegation plane: every leader link
 // plus the instance-level telemetry.
 type leaderSet struct {
-	id    string
-	links []*leaderLink
+	links   []*leaderLink
+	callers []rpc.Caller // the links' connections, parallel to links
 
 	mConnected *telemetry.Gauge
 	mMergeWait *telemetry.Histogram
@@ -170,7 +170,7 @@ type leaderSet struct {
 // stream protocol falls back to the JSON sweep per link, permanently).
 func newLeaderSet(env *Env, id string, nodes, addrs []string, ranges []hierarchy.Range,
 	rp config.ResilienceParams, wp wireParams, streamMethod string, width int) (*leaderSet, error) {
-	ls := &leaderSet{id: id}
+	ls := &leaderSet{}
 	if reg := env.Metrics; reg != nil {
 		il := telemetry.L("instance", id)
 		ls.mConnected = reg.Gauge("asdf_hier_leaders_connected",
@@ -214,18 +214,9 @@ func newLeaderSet(env *Env, id string, nodes, addrs []string, ranges []hierarchy
 				"Leader connection re-establishments after the first connect.", il, ll)
 		}
 		ls.links = append(ls.links, link)
+		ls.callers = append(ls.callers, client)
 	}
 	return ls, nil
-}
-
-// clients exposes the leader connections for breaker counting and
-// crash-safe export/import beside the instance's per-daemon clients.
-func (ls *leaderSet) clients() []rpc.Caller {
-	out := make([]rpc.Caller, len(ls.links))
-	for i, link := range ls.links {
-		out[i] = link.client
-	}
-	return out
 }
 
 // healths reports per-leader connection health, keyed "leader:<addr>" so
@@ -468,19 +459,4 @@ func (link *leaderLink) rowNode(row rpc.StreamRow) (int, error) {
 		return 0, fmt.Errorf("partial row node index %v outside the %d-node range", f, link.rng.Len())
 	}
 	return gi, nil
-}
-
-// mergeBreakerSnaps merges leader breaker snapshots into a module's daemon
-// snapshots (both keyed by address; the sets are disjoint).
-func mergeBreakerSnaps(dst, src map[string]rpc.BreakerSnapshot) map[string]rpc.BreakerSnapshot {
-	if len(src) == 0 {
-		return dst
-	}
-	if dst == nil {
-		dst = make(map[string]rpc.BreakerSnapshot, len(src))
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-	return dst
 }

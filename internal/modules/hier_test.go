@@ -19,14 +19,11 @@ import (
 )
 
 // hierLeader is one shard leader in a test topology: its delegated range
-// and its own transport knobs (leader→daemon wire, batching, shards). With
-// jsonHop the leader serves only the JSON sweep methods — a pre-columnar
+// and its leader→daemon wire. With jsonHop the leader serves only the JSON sweep methods — a pre-columnar
 // leader build — so a columnar root must fall back per leader.
 type hierLeader struct {
 	rng     hierarchy.Range
 	wire    string
-	batch   bool
-	shards  int
 	jsonHop bool
 }
 
@@ -38,11 +35,9 @@ func startLeader(t *testing.T, c *hadoopsim.Cluster, li int, sp hierLeader, node
 	lenv := NewEnv()
 	lenv.Clock = c.Now
 	opt := LeaderOptions{
-		Name:   fmt.Sprintf("leader%d", li),
-		Nodes:  nodes[sp.rng.Start:sp.rng.End],
-		Wire:   sp.wire,
-		Batch:  sp.batch,
-		Shards: config.ShardParams{Shards: sp.shards},
+		Name:  fmt.Sprintf("leader%d", li),
+		Nodes: nodes[sp.rng.Start:sp.rng.End],
+		Wire:  sp.wire,
 	}
 	if sadcAddrs != nil {
 		opt.SadcAddrs = sadcAddrs[sp.rng.Start:sp.rng.End]
@@ -189,11 +184,11 @@ func TestHierarchySadcMatchesDirect(t *testing.T) {
 			[]hierLeader{
 				{rng: hierarchy.Range{Start: 0, End: 3}, wire: "json"},
 				{rng: hierarchy.Range{Start: 3, End: 6}, wire: "json"}}},
-		{"leader-shards-and-batch", wireCase{wire: "json"},
+		{"json-hop-mixed-leader-wires", wireCase{wire: "json"},
 			[]hierLeader{
-				{rng: hierarchy.Range{Start: 0, End: 4}, batch: true, shards: 2},
+				{rng: hierarchy.Range{Start: 0, End: 4}},
 				{rng: hierarchy.Range{Start: 4, End: 6}, wire: "columnar"}}},
-		{"sharded-root-mixed-ranges", wireCase{wire: "columnar", shards: 3},
+		{"columnar-partial-delegation", wireCase{wire: "columnar"},
 			[]hierLeader{{rng: hierarchy.Range{Start: 0, End: 2}, wire: "columnar"}}},
 		// A pre-columnar leader build: the root's columnar hop must fall
 		// back to the JSON sweep for that leader alone.

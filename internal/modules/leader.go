@@ -15,7 +15,7 @@ import (
 )
 
 // The shard-leader side of the hierarchical collection plane (cmd/asdf-shardd):
-// a Leader owns the per-daemon managed connections, shard sweeps, and wire
+// a Leader owns the per-daemon managed connections, sweeps, and wire
 // negotiation for one contiguous node range, and serves merged per-tick
 // partials to the root over hierarchy's JSON sweep methods and their
 // columnar stream counterparts. Sweeps are pull-driven — one sweep per root
@@ -39,12 +39,9 @@ type LeaderOptions struct {
 	LogAddrs []string
 	// LogKind selects which daemon log the log plane reads.
 	LogKind hadooplog.Kind
-	// Fanout, Shards, and Batch mirror the collection-module parameters of
-	// the same names: concurrent-fetch budget, independent shard workers
-	// over the leader's range, and batched JSON fetches.
+	// Fanout mirrors the collection modules' fanout parameter: the
+	// concurrent-fetch budget of a sweep (0 = min(16, nodes), 1 = serial).
 	Fanout int
-	Shards config.ShardParams
-	Batch  bool
 	// Wire selects the leader→daemon transport: "" or "json" keeps the
 	// JSON request/response path, "columnar" opens delta-encoded streams
 	// with per-node JSON fallback, exactly as on a single-process root.
@@ -54,15 +51,14 @@ type LeaderOptions struct {
 }
 
 // leaderPlane is one collection plane (sadc or hadoop_log) of a Leader: its
-// sources, clients, shard sweeper, scratch, and accounting. It doubles as
-// the state.Engine module for that plane, so a leader's -state-file
-// persists its daemon breaker state through the same machinery as a root's.
+// sources, scratch, and accounting around the collectPlane a root instance
+// also embeds. It doubles as the state.Engine module for that plane, so a
+// leader's -state-file persists its daemon breaker state through the same
+// machinery as a root's, and its status surface reports per-daemon health.
 type leaderPlane struct {
-	nodes   []string
-	clients []rpc.Caller
-	metric  []MetricSource // sadc plane
-	logs    []LogSource    // log plane
-	sweeper *shardSweeper
+	collectPlane
+	metric []MetricSource // sadc plane
+	logs   []LogSource    // log plane
 
 	mu         sync.Mutex
 	sweeps     uint64
@@ -70,7 +66,6 @@ type leaderPlane struct {
 
 	recs []*sadc.Record
 	vecs [][]hadooplog.StateVector
-	errs []error
 }
 
 // Init and Run satisfy core.Module so the plane can ride the state
@@ -78,44 +73,31 @@ type leaderPlane struct {
 func (p *leaderPlane) Init(*core.InitContext) error { return nil }
 func (p *leaderPlane) Run(*core.RunContext) error   { return nil }
 
-// ExportBreakerSnapshots / ImportBreakerSnapshots persist the plane's
-// leader→daemon breaker state (state.BreakerExporter / BreakerImporter).
-func (p *leaderPlane) ExportBreakerSnapshots() map[string]rpc.BreakerSnapshot {
-	return exportBreakers(p.clients)
-}
-
-func (p *leaderPlane) ImportBreakerSnapshots(snaps map[string]rpc.BreakerSnapshot, plan *rpc.ProbePlanner) int {
-	return importBreakers(p.clients, snaps, plan)
-}
-
-// ClientHealths exposes per-daemon connection health (BreakerReporter), so
-// a leader's own status surface shows its slice of the collection plane.
-func (p *leaderPlane) ClientHealths() map[string]rpc.Health {
-	out := make(map[string]rpc.Health, len(p.clients))
-	for i, c := range p.clients {
-		if h, ok := sourceHealth(c); ok {
-			out[p.nodes[i]] = h
+// tally accounts the sweep that just filled p.errs; the caller holds p.mu.
+func (p *leaderPlane) tally() {
+	p.sweeps++
+	for _, err := range p.errs {
+		if err != nil {
+			p.nodeErrors++
 		}
 	}
-	return out
 }
 
-// ShardStatuses exposes the plane's per-shard sweep accounting.
-func (p *leaderPlane) ShardStatuses() []ShardStatus {
-	return p.sweeper.statusesWithBreakers(p.clients)
+// statsLocked reports the plane's accounting; the caller holds p.mu.
+func (p *leaderPlane) statsLocked() hierarchy.Stats {
+	open, _ := p.breakers()
+	return hierarchy.Stats{
+		Nodes:        len(p.nodes),
+		Sweeps:       p.sweeps,
+		NodeErrors:   p.nodeErrors,
+		OpenBreakers: open,
+	}
 }
 
 func (p *leaderPlane) stats() hierarchy.Stats {
 	p.mu.Lock()
-	sweeps, nerrs := p.sweeps, p.nodeErrors
-	p.mu.Unlock()
-	open, _ := countBreakers(p.clients)
-	return hierarchy.Stats{
-		Nodes:        len(p.nodes),
-		Sweeps:       sweeps,
-		NodeErrors:   nerrs,
-		OpenBreakers: open,
-	}
+	defer p.mu.Unlock()
+	return p.statsLocked()
 }
 
 // Leader runs the collection plane for one delegated node range and serves
@@ -123,7 +105,6 @@ func (p *leaderPlane) stats() hierarchy.Stats {
 // serialized per plane, so a root reconnecting mid-tick cannot interleave
 // two sweeps over the shared scratch.
 type Leader struct {
-	env  *Env
 	name string
 	sadc *leaderPlane
 	log  *leaderPlane
@@ -131,9 +112,8 @@ type Leader struct {
 }
 
 // NewLeader builds a Leader: it dials (lazily) every daemon in the range
-// and wires the same source stack a single-process root would use — plain
-// or batched JSON, with columnar streams and per-node fallback under
-// Wire = "columnar".
+// and wires the same source stack a single-process root would use — JSON,
+// with columnar streams and per-node fallback under Wire = "columnar".
 func NewLeader(env *Env, opt LeaderOptions) (*Leader, error) {
 	if env == nil {
 		env = NewEnv()
@@ -152,68 +132,32 @@ func NewLeader(env *Env, opt LeaderOptions) (*Leader, error) {
 	default:
 		return nil, fmt.Errorf("leader: unknown wire %q (want json or columnar)", opt.Wire)
 	}
-	l := &Leader{env: env, name: opt.Name, kind: opt.LogKind}
+	n := len(opt.Nodes)
+	l := &Leader{name: opt.Name, kind: opt.LogKind}
 	if len(opt.SadcAddrs) > 0 {
-		if len(opt.SadcAddrs) != len(opt.Nodes) {
-			return nil, fmt.Errorf("leader: %d sadc addrs for %d nodes", len(opt.SadcAddrs), len(opt.Nodes))
+		p := &leaderPlane{collectPlane: newCollectPlane(env, opt.Name, opt.Nodes, opt.Fanout)}
+		p.metric, p.recs = make([]MetricSource, n), make([]*sadc.Record, n)
+		err := p.dialNodes("leader sadc", "asdf-shardd", opt.SadcAddrs, opt.Resilience, nil,
+			func(i int, client rpc.Caller) (err error) {
+				p.metric[i], err = newMetricSource(client, wp, opt.Nodes[i], nil, nil)
+				return err
+			})
+		if err != nil {
+			return nil, err
 		}
-		p := &leaderPlane{nodes: opt.Nodes}
-		for i, a := range opt.SadcAddrs {
-			client, err := env.dial(a, "asdf-shardd", opt.Resilience)
-			if err != nil {
-				return nil, fmt.Errorf("leader[%s]: dial %s: %w", opt.Nodes[i], a, err)
-			}
-			p.clients = append(p.clients, client)
-			var src MetricSource
-			if opt.Batch {
-				bc, ok := client.(rpc.BatchCaller)
-				if !ok {
-					return nil, fmt.Errorf("leader[%s]: batch requires a batch-capable client", opt.Nodes[i])
-				}
-				if src, err = NewBatchedMetricSource(bc, nil, nil); err != nil {
-					return nil, fmt.Errorf("leader[%s]: %w", opt.Nodes[i], err)
-				}
-			} else {
-				src = NewRPCMetricSource(client)
-			}
-			if wp.columnar {
-				if so, ok := client.(streamOpener); ok {
-					if src, err = NewColumnarMetricSource(so, wp, opt.Nodes[i], nil, nil, src); err != nil {
-						return nil, fmt.Errorf("leader[%s]: %w", opt.Nodes[i], err)
-					}
-				}
-			}
-			p.metric = append(p.metric, src)
-		}
-		p.sweeper = newShardSweeper(env, opt.Name+"/sadc", len(opt.Nodes), opt.Shards, opt.Fanout)
-		p.recs = make([]*sadc.Record, len(opt.Nodes))
-		p.errs = make([]error, len(opt.Nodes))
 		l.sadc = p
 	}
 	if len(opt.LogAddrs) > 0 {
-		if len(opt.LogAddrs) != len(opt.Nodes) {
-			return nil, fmt.Errorf("leader: %d hadoop_log addrs for %d nodes", len(opt.LogAddrs), len(opt.Nodes))
+		p := &leaderPlane{collectPlane: newCollectPlane(env, opt.Name, opt.Nodes, opt.Fanout)}
+		p.logs, p.vecs = make([]LogSource, n), make([][]hadooplog.StateVector, n)
+		err := p.dialNodes("leader hadoop_log", "asdf-shardd", opt.LogAddrs, opt.Resilience, nil,
+			func(i int, client rpc.Caller) (err error) {
+				p.logs[i], err = newLogSource(client, wp, opt.Nodes[i], opt.LogKind)
+				return err
+			})
+		if err != nil {
+			return nil, err
 		}
-		p := &leaderPlane{nodes: opt.Nodes}
-		for i, a := range opt.LogAddrs {
-			client, err := env.dial(a, "asdf-shardd", opt.Resilience)
-			if err != nil {
-				return nil, fmt.Errorf("leader[%s]: dial %s: %w", opt.Nodes[i], a, err)
-			}
-			p.clients = append(p.clients, client)
-			src := NewRPCLogSource(client, opt.LogKind)
-			if wp.columnar {
-				if so, ok := client.(streamOpener); ok {
-					if src, err = NewColumnarLogSource(so, wp, opt.Nodes[i], opt.LogKind, src); err != nil {
-						return nil, fmt.Errorf("leader[%s]: %w", opt.Nodes[i], err)
-					}
-				}
-			}
-			p.logs = append(p.logs, src)
-		}
-		p.sweeper = newShardSweeper(env, opt.Name+"/hadoop_log", len(opt.Nodes), opt.Shards, opt.Fanout)
-		p.vecs = make([][]hadooplog.StateVector, len(opt.Nodes))
-		p.errs = make([]error, len(opt.Nodes))
 		l.log = p
 	}
 	return l, nil
@@ -223,32 +167,20 @@ func NewLeader(env *Env, opt LeaderOptions) (*Leader, error) {
 // before releasing p.mu, since the next sweep overwrites them.
 func (l *Leader) sweepSadcLocked() {
 	p := l.sadc
-	p.sweeper.sweep(func(i int) error {
+	fanOut(len(p.nodes), p.width, func(i int) {
 		p.recs[i], p.errs[i] = p.metric[i].Collect()
-		return p.errs[i]
 	})
-	p.sweeps++
-	for _, err := range p.errs {
-		if err != nil {
-			p.nodeErrors++
-		}
-	}
+	p.tally()
 }
 
 // sweepLogLocked runs one log sweep under the same contract.
 func (l *Leader) sweepLogLocked() {
 	p := l.log
-	now := l.env.now()
-	p.sweeper.sweep(func(i int) error {
+	now := p.env.now()
+	fanOut(len(p.nodes), p.width, func(i int) {
 		p.vecs[i], p.errs[i] = p.logs[i].Fetch(now)
-		return p.errs[i]
 	})
-	p.sweeps++
-	for _, err := range p.errs {
-		if err != nil {
-			p.nodeErrors++
-		}
-	}
+	p.tally()
 }
 
 // SadcSweep serves one JSON-hop sweep (hierarchy.MethodSadcSweep).
@@ -268,12 +200,7 @@ func (l *Leader) SadcSweep() (hierarchy.SadcSweepResponse, error) {
 		}
 		resp.Records[i] = hierarchy.SadcRecord{Warmup: rec.Warmup, Node: rec.Node}
 	}
-	resp.Stats = hierarchy.Stats{
-		Nodes:      len(p.nodes),
-		Sweeps:     p.sweeps,
-		NodeErrors: p.nodeErrors,
-	}
-	resp.Stats.OpenBreakers, _ = countBreakers(p.clients)
+	resp.Stats = p.statsLocked()
 	return resp, nil
 }
 
@@ -299,12 +226,7 @@ func (l *Leader) LogSweep() (hierarchy.LogSweepResponse, error) {
 		resp.Nodes[i] = hierarchy.LogNode{Vectors: lvs}
 		p.vecs[i] = nil
 	}
-	resp.Stats = hierarchy.Stats{
-		Nodes:      len(p.nodes),
-		Sweeps:     p.sweeps,
-		NodeErrors: p.nodeErrors,
-	}
-	resp.Stats.OpenBreakers, _ = countBreakers(p.clients)
+	resp.Stats = p.statsLocked()
 	return resp, nil
 }
 
@@ -442,23 +364,23 @@ func checkStreamNodes(params json.RawMessage, nodes []string) error {
 // Register exposes the leader's sweep surface on srv: the JSON methods,
 // their columnar stream counterparts, and the status method.
 func (l *Leader) Register(srv *rpc.Server) {
-	if l.sadc != nil {
+	if p := l.sadc; p != nil {
 		srv.Handle(hierarchy.MethodSadcSweep, func(json.RawMessage) (any, error) {
 			return l.SadcSweep()
 		})
 		srv.HandleStream(hierarchy.MethodSadcStream, func(params json.RawMessage) (rpc.StreamSource, error) {
-			if err := checkStreamNodes(params, l.sadc.nodes); err != nil {
+			if err := checkStreamNodes(params, p.nodes); err != nil {
 				return nil, err
 			}
 			return newLeaderSadcStream(l), nil
 		})
 	}
-	if l.log != nil {
+	if p := l.log; p != nil {
 		srv.Handle(hierarchy.MethodLogSweep, func(json.RawMessage) (any, error) {
 			return l.LogSweep()
 		})
 		srv.HandleStream(hierarchy.MethodLogStream, func(params json.RawMessage) (rpc.StreamSource, error) {
-			if err := checkStreamNodes(params, l.log.nodes); err != nil {
+			if err := checkStreamNodes(params, p.nodes); err != nil {
 				return nil, err
 			}
 			return newLeaderLogStream(l), nil

@@ -7,13 +7,13 @@ import (
 	"github.com/asdf-project/asdf/internal/state"
 )
 
-// Both rpc-mode collectors implement the full crash-safe state surface.
+// Both rpc-mode collectors implement the full crash-safe state surface: the
+// breaker half through the collectPlane they embed (as a leader's planes do),
+// the replay guard each in its own terms.
 var (
-	_ state.BreakerExporter = (*sadcModule)(nil)
-	_ state.BreakerImporter = (*sadcModule)(nil)
+	_ state.BreakerExporter = (*collectPlane)(nil)
+	_ state.BreakerImporter = (*collectPlane)(nil)
 	_ state.ReplayGuard     = (*sadcModule)(nil)
-	_ state.BreakerExporter = (*hadoopLogModule)(nil)
-	_ state.BreakerImporter = (*hadoopLogModule)(nil)
 	_ state.ReplayGuard     = (*hadoopLogModule)(nil)
 )
 

@@ -60,37 +60,6 @@ type RestartReporter interface {
 	RestartStatus() (state.RestartStatus, bool)
 }
 
-// ShardReporter is implemented by collection modules that partition their
-// node set across shard workers (sadc, hadoop_log with shards >= 2).
-type ShardReporter interface {
-	// ShardStatuses reports per-shard sweep accounting, nil when the
-	// instance runs a single shard.
-	ShardStatuses() []ShardStatus
-}
-
-// ShardStatus is one shard's slice of a collection instance: its node
-// range size, concurrency budget, and sweep/failure accounting.
-type ShardStatus struct {
-	// Shard is the shard index (node ranges are contiguous and ordered by
-	// shard index).
-	Shard int `json:"shard"`
-	// Nodes is how many nodes the shard sweeps.
-	Nodes int `json:"nodes"`
-	// Fanout is the shard's concurrent-fetch budget.
-	Fanout int `json:"fanout"`
-	// Sweeps counts completed sweeps.
-	Sweeps uint64 `json:"sweeps"`
-	// Errors counts failed per-node fetches across all sweeps.
-	Errors uint64 `json:"errors"`
-	// LastErrors is the failed-fetch count of the newest sweep.
-	LastErrors int `json:"last_errors"`
-	// LastSweepSeconds is the newest sweep's wall time.
-	LastSweepSeconds float64 `json:"last_sweep_seconds"`
-	// OpenBreakers counts the shard's nodes whose circuit breaker is open
-	// (rpc mode only).
-	OpenBreakers int `json:"open_breakers,omitempty"`
-}
-
 // LeaderReporter is implemented by collection modules that delegate node
 // ranges to shard-leader processes (sadc, hadoop_log with leaders =).
 type LeaderReporter interface {
@@ -174,9 +143,6 @@ type StatusReport struct {
 	// Sync maps instance id -> timestamp-sync counters for every
 	// synchronizing collection module.
 	Sync map[string]SyncStatus `json:"sync,omitempty"`
-	// Shards maps instance id -> per-shard sweep accounting for every
-	// collection module running two or more shards.
-	Shards map[string][]ShardStatus `json:"shards,omitempty"`
 	// Leaders maps instance id -> per-leader delegation accounting for
 	// every collection module delegating node ranges to shard leaders.
 	Leaders map[string][]LeaderStatus `json:"leaders,omitempty"`
@@ -219,14 +185,6 @@ func CollectStatus(v EngineView, now time.Time) StatusReport {
 						rep.Healthy = false
 					}
 				}
-			}
-		}
-		if shr, ok := mod.(ShardReporter); ok {
-			if sts := shr.ShardStatuses(); len(sts) > 0 {
-				if rep.Shards == nil {
-					rep.Shards = make(map[string][]ShardStatus)
-				}
-				rep.Shards[id] = sts
 			}
 		}
 		if lr, ok := mod.(LeaderReporter); ok {

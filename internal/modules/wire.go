@@ -278,11 +278,17 @@ type columnarMetricSource struct {
 	pids     []int
 }
 
-// NewColumnarMetricSource creates a MetricSource reading the sadc.metrics
-// columnar stream for node, with fallback as the JSON path taken when the
-// daemon does not speak the stream protocol.
-func NewColumnarMetricSource(client streamOpener, wp wireParams, node string, ifaces []string, pids []int, fallback MetricSource) (MetricSource, error) {
-	next, err := wp.open(client, MethodSadcMetrics, sadcStreamRequest{Node: node, Ifaces: ifaces, Pids: pids})
+// newMetricSource builds the rpc-mode source stack for node's sadc daemon:
+// the JSON request/response source, which under wire = columnar becomes the
+// fallback of the sadc.metrics stream. A custom Dial hook without stream
+// support keeps the JSON path outright.
+func newMetricSource(client rpc.Caller, wp wireParams, node string, ifaces []string, pids []int) (MetricSource, error) {
+	fallback := NewRPCMetricSource(client)
+	so, ok := client.(streamOpener)
+	if !wp.columnar || !ok {
+		return fallback, nil
+	}
+	next, err := wp.open(so, MethodSadcMetrics, sadcStreamRequest{Node: node, Ifaces: ifaces, Pids: pids})
 	if err != nil {
 		return nil, err
 	}
@@ -349,11 +355,16 @@ type columnarLogSource struct {
 	dims     int
 }
 
-// NewColumnarLogSource creates a LogSource reading the hadoop_log.stream
-// columnar stream for node, with fallback as the JSON path taken when the
-// daemon does not speak the stream protocol.
-func NewColumnarLogSource(client streamOpener, wp wireParams, node string, kind hadooplog.Kind, fallback LogSource) (LogSource, error) {
-	next, err := wp.open(client, MethodHadoopLogStream, logStreamRequest{Kind: kind.String(), Node: node})
+// newLogSource is newMetricSource's hadoop_log counterpart: the JSON vectors
+// source, wrapped as the fallback of the hadoop_log.stream stream under wire
+// = columnar.
+func newLogSource(client rpc.Caller, wp wireParams, node string, kind hadooplog.Kind) (LogSource, error) {
+	fallback := NewRPCLogSource(client, kind)
+	so, ok := client.(streamOpener)
+	if !wp.columnar || !ok {
+		return fallback, nil
+	}
+	next, err := wp.open(so, MethodHadoopLogStream, logStreamRequest{Kind: kind.String(), Node: node})
 	if err != nil {
 		return nil, err
 	}

@@ -18,8 +18,7 @@ import (
 type wireCase struct {
 	wire      string // "" = leave the parameter out (json default)
 	subscribe bool
-	shards    int
-	batch     bool
+	fanout    int // 0 = leave the parameter out (min(16, nodes))
 	// jsonOnly marks node indices whose daemon speaks only the JSON
 	// methods (a pre-columnar deployment); columnar clients must fall back
 	// transparently.
@@ -34,11 +33,8 @@ func (wc wireCase) params() string {
 	if wc.subscribe {
 		b.WriteString("subscribe = true\n")
 	}
-	if wc.shards > 1 {
-		fmt.Fprintf(&b, "shards = %d\n", wc.shards)
-	}
-	if wc.batch {
-		b.WriteString("batch = true\n")
+	if wc.fanout != 0 {
+		fmt.Fprintf(&b, "fanout = %d\n", wc.fanout)
 	}
 	return b.String()
 }
@@ -93,8 +89,7 @@ func runWireSadcCase(t *testing.T, slaves int, seed int64, wc wireCase) []byte {
 }
 
 // TestColumnarWireMatchesJSONSadc asserts the columnar stream transport —
-// pulled or pushed, sharded or not, composed with batch configs — logs CSV
-// byte-identical to the JSON request/response path.
+// pulled or pushed — logs CSV byte-identical to the JSON request/response path.
 func TestColumnarWireMatchesJSONSadc(t *testing.T) {
 	const slaves, seed = 6, 1101
 	baseline := runWireSadcCase(t, slaves, seed, wireCase{wire: "json"})
@@ -107,10 +102,7 @@ func TestColumnarWireMatchesJSONSadc(t *testing.T) {
 	}{
 		{"default-is-json", wireCase{}},
 		{"columnar", wireCase{wire: "columnar"}},
-		{"columnar-over-batch-config", wireCase{wire: "columnar", batch: true}},
-		{"columnar-sharded", wireCase{wire: "columnar", shards: 3}},
 		{"columnar-subscribe", wireCase{wire: "columnar", subscribe: true}},
-		{"columnar-subscribe-sharded", wireCase{wire: "columnar", subscribe: true, shards: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -140,7 +132,6 @@ func TestColumnarWireFallsBackPerNode(t *testing.T) {
 		wc   wireCase
 	}{
 		{"pull", wireCase{wire: "columnar", jsonOnly: mixed}},
-		{"pull-batch-fallback", wireCase{wire: "columnar", batch: true, jsonOnly: mixed}},
 		{"subscribe", wireCase{wire: "columnar", subscribe: true, jsonOnly: mixed}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -296,7 +287,6 @@ func TestColumnarWireMatchesJSONHadoopLog(t *testing.T) {
 		wc   wireCase
 	}{
 		{"columnar", wireCase{wire: "columnar"}},
-		{"columnar-sharded", wireCase{wire: "columnar", shards: 2}},
 		{"columnar-subscribe", wireCase{wire: "columnar", subscribe: true}},
 		{"fallback-mixed-fleet", wireCase{wire: "columnar", jsonOnly: map[int]bool{0: true, 2: true}}},
 	} {

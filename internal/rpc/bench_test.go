@@ -52,57 +52,6 @@ func BenchmarkManagedClientOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchEncode measures the CallBatch encode paths in isolation:
-// building the full request frame body for a four-method batch (dir=request)
-// and the matching server reply (dir=response) out of the pooled scratch
-// buffer. This is the collection plane's per-node, per-tick hot path at
-// 1000-node scale, so both directions are held to 0 allocs/op in CI.
-func BenchmarkBatchEncode(b *testing.B) {
-	calls := []BatchCall{
-		{Method: "sadc.node"},
-		{Method: "sadc.net", Params: json.RawMessage(`{"ifaces":["eth0","eth1"]}`)},
-		{Method: "sadc.proc", Params: json.RawMessage(`{"pids":[3001,3002]}`)},
-		{Method: "hadoop_log.vectors", Params: json.RawMessage(`{"kind":"tasktracker"}`)},
-	}
-	b.Run("dir=request", func(b *testing.B) {
-		b.ReportAllocs()
-		var total int
-		for i := 0; i < b.N; i++ {
-			bufp := frameScratch.Get().(*[]byte)
-			body, err := appendBatchRequest((*bufp)[:0], uint64(i+1), calls)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += len(body)
-			*bufp = body[:0]
-			frameScratch.Put(bufp)
-		}
-		if total == 0 {
-			b.Fatal("encoded nothing")
-		}
-	})
-	b.Run("dir=response", func(b *testing.B) {
-		results := []batchResult{
-			{ID: 0, Result: json.RawMessage(`{"warmup":false,"node":[1,2,3,4,5,6,7,8]}`)},
-			{ID: 1, Result: json.RawMessage(`{"warmup":false,"net":{"eth0":[1,2],"eth1":[3,4]}}`)},
-			{ID: 2, Error: "no such pid"},
-			{ID: 3, Result: json.RawMessage(`{"vectors":[]}`)},
-		}
-		b.ReportAllocs()
-		var total int
-		for i := 0; i < b.N; i++ {
-			bufp := frameScratch.Get().(*[]byte)
-			body := appendBatchResponse((*bufp)[:0], uint64(i+1), results)
-			total += len(body)
-			*bufp = body[:0]
-			frameScratch.Put(bufp)
-		}
-		if total == 0 {
-			b.Fatal("encoded nothing")
-		}
-	})
-}
-
 // benchWireSchema is a sadc-shaped 64-column stream schema.
 func benchWireSchema() StreamSchema {
 	cols := make([]string, 64)
@@ -206,8 +155,8 @@ func BenchmarkColumnarDecode(b *testing.B) {
 	}
 }
 
-// wireBenchJSONResponse mirrors the sadc.node wire struct without importing
-// the modules package.
+// wireBenchJSONResponse is the smallest JSON reply that carries a node
+// vector: the node-level part of a sadc record and nothing else.
 type wireBenchJSONResponse struct {
 	Warmup bool      `json:"warmup,omitempty"`
 	Node   []float64 `json:"node,omitempty"`
@@ -304,67 +253,6 @@ func mustMarshal(v any) json.RawMessage {
 		panic(err)
 	}
 	return b
-}
-
-// BenchmarkBatchRoundTrip compares N sequential calls per tick against one
-// batched frame carrying the same N methods, over real loopback TCP. The
-// mode suffix pairs the samples for benchstat.
-func BenchmarkBatchRoundTrip(b *testing.B) {
-	const methods = 4
-	srv := NewServer("bench")
-	srv.Handle("echo", func(params json.RawMessage) (any, error) {
-		var v map[string]any
-		if err := json.Unmarshal(params, &v); err != nil {
-			return nil, err
-		}
-		return v, nil
-	})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = srv.Close() }()
-	params := json.RawMessage(`{"metrics":[1,2,3,4,5,6,7,8]}`)
-
-	b.Run("mode=serial", func(b *testing.B) {
-		c, err := Dial(addr.String(), "bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer func() { _ = c.Close() }()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < methods; j++ {
-				var out map[string]any
-				if err := c.Call("echo", params, &out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("mode=batch", func(b *testing.B) {
-		c, err := Dial(addr.String(), "bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer func() { _ = c.Close() }()
-		outs := make([]map[string]any, methods)
-		calls := make([]BatchCall, methods)
-		for j := range calls {
-			calls[j] = BatchCall{Method: "echo", Params: params, Result: &outs[j]}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := c.CallBatch(calls); err != nil {
-				b.Fatal(err)
-			}
-			for j := range calls {
-				if calls[j].Err != nil {
-					b.Fatal(calls[j].Err)
-				}
-			}
-		}
-	})
 }
 
 func BenchmarkCallRoundTrip(b *testing.B) {

@@ -83,7 +83,7 @@ func newFrameTestServer() *Server {
 
 // TestOneWritePerFrame holds the single-segment property on both ends for
 // every kind of frame: JSON (hello, call, error), hand-rolled request bodies
-// (pull, credit), batch request and reply, and binary columnar frames.
+// (pull, credit), and binary columnar frames.
 func TestOneWritePerFrame(t *testing.T) {
 	srv := newFrameTestServer()
 	c, ce, se := instrumentedPair(t, srv)
@@ -125,12 +125,6 @@ func TestOneWritePerFrame(t *testing.T) {
 		t.Fatal("unknown method succeeded")
 	}
 	step("json error reply", 1, 1)
-
-	calls := []BatchCall{{Method: "echo", Params: json.RawMessage(`1`)}, {Method: "echo", Params: json.RawMessage(`2`)}, {Method: "nope"}}
-	if err := c.CallBatch(calls); err != nil {
-		t.Fatal(err)
-	}
-	step("batch", 1, 1)
 
 	dec := NewColumnarDecoder()
 	id, err := c.openStream("test.stream", nil, false, 0)

@@ -210,7 +210,6 @@ type ManagedClient struct {
 	mCalls       *telemetry.Counter
 	mFails       *telemetry.Counter
 	mReconnects  *telemetry.Counter
-	mBatchItems  *telemetry.Counter
 	mWireSent    *telemetry.Counter
 	mWireRecv    *telemetry.Counter
 	mBreaker     *telemetry.Gauge
@@ -238,8 +237,6 @@ func NewManagedClient(addr, clientName string, opt Options) *ManagedClient {
 			"Transport failures (dial or call) on a managed connection.", al)
 		m.mReconnects = reg.Counter("asdf_rpc_reconnects_total",
 			"Successful dials, the first connect included.", al)
-		m.mBatchItems = reg.Counter("asdf_rpc_batch_items_total",
-			"Method invocations carried inside batched request frames.", al)
 		m.mWireSent = reg.Counter("asdf_rpc_wire_bytes_sent_total",
 			"Exact wire bytes sent on a managed connection, reconnects included.", al)
 		m.mWireRecv = reg.Counter("asdf_rpc_wire_bytes_received_total",
@@ -263,22 +260,6 @@ func (m *ManagedClient) Call(method string, params, result any) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.do(tripFunc(func(c *Client) error { return c.Call(method, params, result) }))
-}
-
-// CallBatch sends every call in one supervised round trip (one request
-// frame, one response frame; see Client.CallBatch). The whole batch counts
-// as a single call against the breaker and backoff bookkeeping: a transport
-// failure anywhere in the frame is one failure, and per-item handler errors
-// (delivered in each call's Err) prove the node alive, exactly as a
-// RemoteError does on Call.
-func (m *ManagedClient) CallBatch(calls []BatchCall) error {
-	if len(calls) == 0 {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.mBatchItems.Add(uint64(len(calls)))
-	return m.do(tripFunc(func(c *Client) error { return c.CallBatch(calls) }))
 }
 
 // roundTripper is one exchange on the live connection. The per-tick stream

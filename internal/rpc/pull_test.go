@@ -271,7 +271,8 @@ func TestParamsDoNotAliasReadBuffer(t *testing.T) {
 	rs.exchange(`{"id":1,"method":"rpc.stream.open","params":{"method":"keep.stream","params":` + want[0] + `}}`)
 	rs.exchange(`{"id":2,"method":"rpc.stream.open","params":{"method":"keep.stream","params":` + want[1] + `}}`)
 	rs.exchange(`{"id":3,"method":"keep","params":` + want[2] + `}`)
-	rs.exchange(`{"id":4,"method":"rpc.batch","params":[{"id":0,"method":"keep","params":` + want[3] + `},{"id":1,"method":"keep","params":` + want[4] + `}]}`)
+	rs.exchange(`{"id":4,"method":"keep","params":` + want[3] + `}`)
+	rs.exchange(`{"id":5,"method":"keep","params":` + want[4] + `}`)
 	// Overwrite whatever the buffer still holds, at every length used above.
 	for _, n := range []int{20, 60, 90, 140} {
 		rs.exchange(`{"id":9,"method":"nope","params":"` + strings.Repeat("z", n) + `"}`)

@@ -108,6 +108,17 @@ func writeFrame(w io.Writer, frame []byte, flag uint32) error {
 	return nil
 }
 
+// frameScratch pools the buffers outgoing frames are serialized in (each at
+// least frameHeaderLen long), so the steady state encode path performs zero
+// allocations regardless of frame size. The JSON frame writer and the stream
+// request path share it.
+var frameScratch = sync.Pool{
+	New: func() any {
+		b := make([]byte, 0, 4096)
+		return &b
+	},
+}
+
 // writeJSONFrame marshals v into pooled scratch and sends it as one frame.
 func writeJSONFrame(w io.Writer, v any) error {
 	body, err := json.Marshal(v)
@@ -269,7 +280,7 @@ func (s *Server) Handle(method string, h HandlerFunc) {
 	if method == "" || h == nil {
 		panic("rpc: Handle requires a method name and handler")
 	}
-	if method == MethodBatch || isStreamMethod(method) {
+	if isStreamMethod(method) {
 		panic("rpc: " + method + " is reserved; the server dispatches it natively")
 	}
 	s.mu.Lock()
@@ -417,12 +428,6 @@ func (s *Server) serveConn(raw net.Conn) {
 			// Fire-and-forget: credits wake the stream's pusher, which owns
 			// the response frames.
 			cs.creditStream(&req)
-		case MethodBatch:
-			// Encodes the reply through pooled scratch rather than the
-			// generic marshal path.
-			if err := cs.serveBatch(&req); err != nil {
-				return
-			}
 		default:
 			var resp response
 			if req.Method == MethodStreamOpen {
@@ -441,11 +446,6 @@ func (s *Server) serveConn(raw net.Conn) {
 }
 
 func (s *Server) dispatch(req *request) response {
-	if req.Method == MethodBatch || isStreamMethod(req.Method) {
-		// The serve loop routes these natively; reaching dispatch means a
-		// nested batch item tried to smuggle one in.
-		return response{ID: req.ID, Error: fmt.Sprintf("method %q not allowed here", req.Method)}
-	}
 	s.mu.Lock()
 	h, ok := s.handlers[req.Method]
 	s.mu.Unlock()

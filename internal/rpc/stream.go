@@ -32,8 +32,8 @@ import (
 // client decoder's delta state. This is also why a credit request needs no
 // response: losing one loses the whole connection with it.
 
-// Reserved stream method names. Like MethodBatch they are dispatched
-// natively by the server; handlers cannot register them.
+// Reserved stream method names: the server dispatches them natively;
+// handlers cannot register them.
 const (
 	// MethodStreamOpen opens a stream: params {method, params, push,
 	// period_ms}, result {stream}.
@@ -95,7 +95,7 @@ func (s *Server) HandleStream(method string, h StreamHandlerFunc) {
 	if method == "" || h == nil {
 		panic("rpc: HandleStream requires a method name and handler")
 	}
-	if method == MethodBatch || isStreamMethod(method) {
+	if isStreamMethod(method) {
 		panic("rpc: " + method + " is reserved; the server dispatches it natively")
 	}
 	s.mu.Lock()
@@ -159,11 +159,11 @@ func (cs *connState) write(v any) error {
 	return writeJSONFrame(cs.cc, v)
 }
 
-// writeFramed sends an already-serialized frame (header bytes reserved).
-func (cs *connState) writeFramed(frame []byte, flag uint32) error {
+// writeBinary sends an already-encoded columnar frame (header bytes reserved).
+func (cs *connState) writeBinary(frame []byte) error {
 	cs.writeMu.Lock()
 	defer cs.writeMu.Unlock()
-	return writeFrame(cs.cc, frame, flag)
+	return writeFrame(cs.cc, frame, binaryFrameFlag)
 }
 
 func (cs *connState) lookup(id uint64) *serverStream {
@@ -271,7 +271,7 @@ func (cs *connState) servePull(id, stream uint64, errMsg string) error {
 	if errMsg != "" {
 		return cs.write(response{ID: id, Error: errMsg})
 	}
-	return cs.writeFramed(frame, binaryFrameFlag)
+	return cs.writeBinary(frame)
 }
 
 // The fixed bytes of the request appendStreamRequest emits for a pull.
@@ -360,7 +360,7 @@ func (cs *connState) pusher(st *serverStream) {
 			// them as a RemoteError from its next Fetch.
 			werr = cs.write(response{Error: fmt.Sprintf("rpc.stream %d: %v", st.id, err)})
 		} else {
-			werr = cs.writeFramed(frame, binaryFrameFlag)
+			werr = cs.writeBinary(frame)
 		}
 		if werr != nil {
 			return
@@ -370,8 +370,8 @@ func (cs *connState) pusher(st *serverStream) {
 }
 
 // appendStreamRequest appends the request body for a pull or credit call —
-// hand-rolled like appendBatchRequest so a pooled dst keeps the per-tick
-// encode allocation-free. The server recognises a pull by exactly these
+// hand-rolled (no encoding/json) so a pooled dst keeps the per-tick encode
+// allocation-free. The server recognises a pull by exactly these
 // bytes (parsePullRequest); changing them only costs it the fast path.
 func appendStreamRequest(dst []byte, id uint64, method string, stream uint64, n int) []byte {
 	dst = append(dst, `{"id":`...)

@@ -356,7 +356,7 @@ func TestHandleStreamReservedAndDuplicatePanic(t *testing.T) {
 	srv := NewServer("s")
 	h := func(json.RawMessage) (StreamSource, error) { return &erroringSource{}, nil }
 	srv.HandleStream("ok.stream", h)
-	for _, name := range []string{MethodBatch, MethodStreamOpen, MethodStreamPull, MethodStreamCredit, "ok.stream"} {
+	for _, name := range []string{MethodStreamOpen, MethodStreamPull, MethodStreamCredit, "ok.stream"} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -12,11 +12,11 @@
 #
 # Usage:
 #   scripts/benchstat-compare.sh \
-#     -bench 'BenchmarkCollectionShards/nodes=(128|512)' \
+#     -bench 'BenchmarkCollectionHier/nodes=(512|1024)' \
 #     -pkgs  './internal/modules' \
-#     -base  'mode=serial' \
-#     -cont  'mode=sharded' \
-#     -out   shard [-count 5] [-benchtime 3x]
+#     -base  'mode=single' \
+#     -cont  'mode=hier' \
+#     -out   hier [-count 5] [-benchtime 3x]
 #
 # The wire comparison runs twice: the codecs alone (BenchmarkWireFormat,
 # whole-fleet ticks, the default 3x) and one round trip per iteration over
