@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/asdf-project/asdf/internal/stats"
 )
 
 func TestTrainScalerAndApply(t *testing.T) {
@@ -388,5 +390,161 @@ func TestCombine(t *testing.T) {
 	}
 	if _, err := Combine(a, &WindowResult{Flagged: []bool{true}}); err == nil {
 		t.Error("mismatched node counts should error")
+	}
+}
+
+// oracleWhiteBox is §4.4 as the plain triple loop: a nested ring indexed
+// [slot][node][metric] and, per window, metric by metric, node by node, one
+// Welford accumulator fed slot 0 to WindowSize-1. WhiteBox must equal it bit
+// for bit whatever its ring layout or pass order.
+type oracleWhiteBox struct {
+	cfg                          WhiteBoxConfig
+	ring                         [][][]float64
+	next, filled, samples, since int
+}
+
+func newOracleWhiteBox(cfg WhiteBoxConfig) *oracleWhiteBox {
+	o := &oracleWhiteBox{cfg: cfg, ring: make([][][]float64, cfg.WindowSize)}
+	for i := range o.ring {
+		o.ring[i] = make([][]float64, cfg.Nodes)
+		for n := range o.ring[i] {
+			o.ring[i][n] = make([]float64, cfg.Metrics)
+		}
+	}
+	return o
+}
+
+func (o *oracleWhiteBox) observe(vectors [][]float64) *WindowResult {
+	for n, v := range vectors {
+		copy(o.ring[o.next][n], v)
+	}
+	o.next = (o.next + 1) % o.cfg.WindowSize
+	if o.filled < o.cfg.WindowSize {
+		o.filled++
+	}
+	o.samples++
+	o.since++
+	if o.filled < o.cfg.WindowSize || o.since < o.cfg.WindowSlide {
+		return nil
+	}
+	o.since = 0
+	res := &WindowResult{
+		EndIndex: o.samples - 1,
+		Scores:   make([]float64, o.cfg.Nodes),
+		Flagged:  make([]bool, o.cfg.Nodes),
+	}
+	means := make([]float64, o.cfg.Nodes)
+	sds := make([]float64, o.cfg.Nodes)
+	median := func(xs []float64) float64 {
+		// The median is not what the layout changes; NaN columns have no
+		// defined order, so both sides select the same way.
+		m, _ := stats.QuickMedianInPlace(append([]float64(nil), xs...))
+		return m
+	}
+	for m := 0; m < o.cfg.Metrics; m++ {
+		for n := 0; n < o.cfg.Nodes; n++ {
+			var acc stats.Welford
+			for i := 0; i < o.cfg.WindowSize; i++ {
+				acc.Add(o.ring[i][n][m])
+			}
+			means[n], sds[n] = acc.Mean(), acc.StdDev()
+		}
+		medianMean := median(means)
+		threshold := math.Max(1, o.cfg.K*median(sds))
+		for n := range means {
+			dev := math.Abs(means[n] - medianMean)
+			if score := dev / threshold; score > res.Scores[n] {
+				res.Scores[n] = score
+			}
+			if dev > threshold {
+				res.Flagged[n] = true
+			}
+		}
+	}
+	return res
+}
+
+// TestWhiteBoxMatchesOracle feeds the same samples — enough to wrap the ring
+// three times — to WhiteBox and to the oracle, across node counts from 2 to
+// fleet width, and requires bit-equal scores and equal flags at every window.
+func TestWhiteBoxMatchesOracle(t *testing.T) {
+	type shape struct {
+		nodes, metrics, window, slide int
+		nonFinite                     bool
+	}
+	var shapes []shape
+	for _, nodes := range []int{2, 255, 256, 513, 2048} {
+		for _, metrics := range []int{1, 7} {
+			for _, ws := range [][2]int{{60, 15}, {5, 1}, {4, 4}} {
+				shapes = append(shapes, shape{nodes, metrics, ws[0], ws[1], false})
+			}
+		}
+	}
+	shapes = append(shapes, shape{513, 7, 5, 1, true})
+	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+
+	for _, sh := range shapes {
+		cfg := WhiteBoxConfig{Nodes: sh.nodes, Metrics: sh.metrics, WindowSize: sh.window, WindowSlide: sh.slide, K: 3}
+		rng := rand.New(rand.NewSource(int64(sh.nodes*1000 + sh.metrics*100 + sh.window)))
+		rounds := make([][][]float64, 3*sh.window+sh.slide)
+		for r := range rounds {
+			rounds[r] = make([][]float64, sh.nodes)
+			for n := range rounds[r] {
+				v := make([]float64, sh.metrics)
+				for m := range v {
+					// Small integers with noise: tied columns, zero sigmas
+					// and a few deviant nodes all occur.
+					v[m] = float64(rng.Intn(4)) + float64(rng.Intn(3))*rng.Float64()
+					if n%97 == 3 {
+						v[m] += 9
+					}
+					if sh.nonFinite && rng.Intn(50) == 0 {
+						v[m] = odd[rng.Intn(len(odd))]
+					}
+				}
+				rounds[r][n] = v
+			}
+		}
+		oracle := newOracleWhiteBox(cfg)
+		want := make([]*WindowResult, len(rounds))
+		windows, flagged := 0, 0
+		for r, vectors := range rounds {
+			if want[r] = oracle.observe(vectors); want[r] != nil {
+				windows++
+				for _, f := range want[r].Flagged {
+					if f {
+						flagged++
+					}
+				}
+			}
+		}
+		if windows < 3 || (flagged == 0 && sh.nodes > 3) {
+			t.Fatalf("%+v: oracle closed %d windows and flagged %d nodes: the comparison would be trivial", sh, windows, flagged)
+		}
+		wb, err := NewWhiteBox(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, vectors := range rounds {
+			got, err := wb.Observe(vectors)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (got == nil) != (want[r] == nil) {
+				t.Fatalf("%+v round %d: window closed = %v, oracle %v", sh, r, got != nil, want[r] != nil)
+			}
+			if got == nil {
+				continue
+			}
+			if got.EndIndex != want[r].EndIndex {
+				t.Fatalf("%+v round %d: EndIndex %d, oracle %d", sh, r, got.EndIndex, want[r].EndIndex)
+			}
+			for n := range got.Scores {
+				if math.Float64bits(got.Scores[n]) != math.Float64bits(want[r].Scores[n]) || got.Flagged[n] != want[r].Flagged[n] {
+					t.Fatalf("%+v round %d node %d: score %v flagged %v, oracle %v %v",
+						sh, r, n, got.Scores[n], got.Flagged[n], want[r].Scores[n], want[r].Flagged[n])
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -79,5 +80,39 @@ func BenchmarkWhiteBoxObserve(b *testing.B) {
 		if _, err := wb.Observe(vectors); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWhiteBoxWindowClose measures the tick that closes a window at
+// fleet width: the ring holds one full 60-sample window, and each iteration
+// observes one 15-sample slide, the last of which evaluates every node.
+func BenchmarkWhiteBoxWindowClose(b *testing.B) {
+	const metrics, window, slide = 7, 60, 15
+	for _, nodes := range []int{512, 2048} {
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			wb, err := NewWhiteBox(WhiteBoxConfig{Nodes: nodes, Metrics: metrics, WindowSize: window, WindowSlide: slide, K: 3})
+			if err != nil {
+				b.Fatal(err)
+			}
+			vectors := benchPoints(nodes, metrics)
+			for i := 0; i < window; i++ {
+				if _, err := wb.Observe(vectors); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for s := 0; s < slide; s++ {
+					res, err := wb.Observe(vectors)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if (res != nil) != (s == slide-1) {
+						b.Fatalf("slide sample %d: window closed = %v", s, res != nil)
+					}
+				}
+			}
+		})
 	}
 }

@@ -32,8 +32,10 @@ type WhiteBoxConfig struct {
 // (zero sigma) and differs by as little as 1 on one node (§4.4).
 type WhiteBox struct {
 	cfg WhiteBoxConfig
-	// ring[i][n] is node n's metric vector at window slot i.
-	ring        [][][]float64
+	// ring is the window, node-major: node n's metric m at window slot i is
+	// ring[(n*WindowSize+i)*Metrics+m], so one node's whole window is one
+	// contiguous run and evaluate streams it once.
+	ring        []float64
 	filled      int
 	next        int
 	samples     int
@@ -43,11 +45,9 @@ type WhiteBox struct {
 	// WindowSlide samples, so the per-node mean/sd matrices and the median
 	// scratch are reused rather than reallocated each time. Only the
 	// returned WindowResult (which escapes to the caller) is fresh.
-	means      [][]float64 // [node][metric] window means
-	sds        [][]float64 // [node][metric] window standard deviations
-	nodeMeans  []float64   // Nodes; one metric's means across nodes
-	nodeSDs    []float64   // Nodes; one metric's sds across nodes
-	medScratch []float64   // Nodes; quickselect scratch for the medians
+	means      []float64 // [n*Metrics+m] window means
+	sds        []float64 // [n*Metrics+m] window standard deviations
+	medScratch []float64 // Nodes; one metric's column, permuted by quickselect
 }
 
 // NewWhiteBox creates the analyzer.
@@ -71,26 +71,13 @@ func NewWhiteBox(cfg WhiteBoxConfig) (*WhiteBox, error) {
 	if cfg.K < 0 {
 		return nil, fmt.Errorf("analysis: whitebox: K must be non-negative")
 	}
-	w := &WhiteBox{
+	return &WhiteBox{
 		cfg:        cfg,
-		ring:       make([][][]float64, cfg.WindowSize),
-		means:      make([][]float64, cfg.Nodes),
-		sds:        make([][]float64, cfg.Nodes),
-		nodeMeans:  make([]float64, cfg.Nodes),
-		nodeSDs:    make([]float64, cfg.Nodes),
+		ring:       make([]float64, cfg.Nodes*cfg.WindowSize*cfg.Metrics),
+		means:      make([]float64, cfg.Nodes*cfg.Metrics),
+		sds:        make([]float64, cfg.Nodes*cfg.Metrics),
 		medScratch: make([]float64, cfg.Nodes),
-	}
-	for i := range w.ring {
-		w.ring[i] = make([][]float64, cfg.Nodes)
-		for n := range w.ring[i] {
-			w.ring[i][n] = make([]float64, cfg.Metrics)
-		}
-	}
-	for n := 0; n < cfg.Nodes; n++ {
-		w.means[n] = make([]float64, cfg.Metrics)
-		w.sds[n] = make([]float64, cfg.Metrics)
-	}
-	return w, nil
+	}, nil
 }
 
 // Config returns the analyzer's configuration.
@@ -103,12 +90,13 @@ func (w *WhiteBox) Observe(vectors [][]float64) (*WindowResult, error) {
 	if len(vectors) != w.cfg.Nodes {
 		return nil, fmt.Errorf("analysis: whitebox: got %d vectors, want %d", len(vectors), w.cfg.Nodes)
 	}
+	M, stride := w.cfg.Metrics, w.cfg.WindowSize*w.cfg.Metrics
 	for n, v := range vectors {
-		if len(v) != w.cfg.Metrics {
+		if len(v) != M {
 			return nil, fmt.Errorf("analysis: whitebox: node %d vector has %d metrics, want %d",
-				n, len(v), w.cfg.Metrics)
+				n, len(v), M)
 		}
-		copy(w.ring[w.next][n], v)
+		copy(w.ring[n*stride+w.next*M:], v)
 	}
 	w.next = (w.next + 1) % w.cfg.WindowSize
 	if w.filled < w.cfg.WindowSize {
@@ -130,22 +118,14 @@ func (w *WhiteBox) evaluate() *WindowResult {
 		Scores:   make([]float64, w.cfg.Nodes),
 		Flagged:  make([]bool, w.cfg.Nodes),
 	}
-	for m := 0; m < w.cfg.Metrics; m++ {
-		for n := 0; n < w.cfg.Nodes; n++ {
-			var acc stats.Welford
-			for i := 0; i < w.cfg.WindowSize; i++ {
-				acc.Add(w.ring[i][n][m])
-			}
-			w.means[n][m] = acc.Mean()
-			w.sds[n][m] = acc.StdDev()
-			w.nodeMeans[n] = w.means[n][m]
-			w.nodeSDs[n] = w.sds[n][m]
-		}
-		medianMean := w.quickMedian(w.nodeMeans)
-		sigmaMedian := w.quickMedian(w.nodeSDs)
+	w.windowStats()
+	N, M := w.cfg.Nodes, w.cfg.Metrics
+	for m := 0; m < M; m++ {
+		medianMean := w.columnMedian(w.means, m)
+		sigmaMedian := w.columnMedian(w.sds, m)
 		threshold := math.Max(1, w.cfg.K*sigmaMedian)
-		for n := 0; n < w.cfg.Nodes; n++ {
-			dev := math.Abs(w.means[n][m] - medianMean)
+		for n := 0; n < N; n++ {
+			dev := math.Abs(w.means[n*M+m] - medianMean)
 			// Score in threshold units, maximized over metrics.
 			if score := dev / threshold; score > res.Scores[n] {
 				res.Scores[n] = score
@@ -158,16 +138,46 @@ func (w *WhiteBox) evaluate() *WindowResult {
 	return res
 }
 
-// quickMedian computes the median of xs via the pooled quickselect scratch
-// without disturbing xs; bit-identical to the sort-based stats.MustMedian.
-func (w *WhiteBox) quickMedian(xs []float64) float64 {
-	copy(w.medScratch, xs)
-	m, err := stats.QuickMedianInPlace(w.medScratch)
+// windowStats fills means and sds in one pass over each node's window, one
+// Welford accumulator per metric (independent division chains the CPU can
+// overlap). Each accumulator is fed in ring slot order, not time order:
+// Welford's rounding depends on the order of its inputs, and slot 0 to
+// WindowSize-1 is the order of the plain per-metric triple loop (the oracle
+// in analysis_test.go), so every mean and sigma equals that loop's bit for
+// bit.
+func (w *WhiteBox) windowStats() {
+	M := w.cfg.Metrics
+	stride := w.cfg.WindowSize * M
+	acc := make([]stats.Welford, M)
+	for n := 0; n < w.cfg.Nodes; n++ {
+		clear(acc)
+		window := w.ring[n*stride : (n+1)*stride]
+		for len(window) > 0 {
+			for m, x := range window[:M] {
+				acc[m].Add(x)
+			}
+			window = window[M:]
+		}
+		for m := range acc {
+			w.means[n*M+m] = acc[m].Mean()
+			w.sds[n*M+m] = acc[m].StdDev()
+		}
+	}
+}
+
+// columnMedian computes the median across nodes of metric m in a
+// [n*Metrics+m] matrix by quickselect over the pooled scratch; bit-identical
+// to the sort-based stats.MustMedian.
+func (w *WhiteBox) columnMedian(mat []float64, m int) float64 {
+	for n := range w.medScratch {
+		w.medScratch[n] = mat[n*w.cfg.Metrics+m]
+	}
+	med, err := stats.QuickMedianInPlace(w.medScratch)
 	if err != nil {
 		// Unreachable: Nodes is validated positive by the constructor.
 		panic(err)
 	}
-	return m
+	return med
 }
 
 // Combine merges black-box and white-box verdicts for the same window by

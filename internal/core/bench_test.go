@@ -139,3 +139,50 @@ func BenchmarkSupervisorOverhead(b *testing.B) {
 		})
 	}
 }
+
+// drainSink reads and drops its inputs: the cheapest module an input can
+// trigger, so a tick's cost is the scheduler's.
+type drainSink struct{ scratch []Sample }
+
+func (m *drainSink) Init(*InitContext) error { return nil }
+
+func (m *drainSink) Run(ctx *RunContext) error {
+	for _, in := range ctx.Inputs() {
+		m.scratch = in.ReadAppend(m.scratch[:0])
+	}
+	return nil
+}
+
+// BenchmarkDrainTriggers measures the serial scheduler's cost per dispatch
+// with a wide dirty list: one source publishes to `dirty` zero-work
+// instances, so each tick queues and then dispatches that many — the shape
+// of a fleet configured with one analysis chain per node.
+func BenchmarkDrainTriggers(b *testing.B) {
+	for _, dirty := range []int{768, 4096} {
+		b.Run(fmt.Sprintf("dirty=%d", dirty), func(b *testing.B) {
+			reg := testRegistry()
+			reg.Register("drain", func() Module { return &drainSink{} })
+			var sb strings.Builder
+			sb.WriteString("[counter]\nid = src\nperiod = 1s\n")
+			for i := 0; i < dirty; i++ {
+				fmt.Fprintf(&sb, "[drain]\nid = d%d\ninput[in] = src.output0\n", i)
+			}
+			file, err := config.ParseString(sb.String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng, err := NewEngine(reg, file)
+			if err != nil {
+				b.Fatal(err)
+			}
+			start := time.Unix(1_700_000_000, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := eng.Tick(start.Add(time.Duration(i+1) * time.Second)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -40,8 +40,9 @@ type Engine struct {
 
 	// step-mode state; also reused as the notification lock in
 	// real-time mode.
-	stepMu  chan struct{} // binary semaphore guarding dirty/pending
-	dirty   []*instanceState
+	stepMu  chan struct{}     // binary semaphore guarding dirty/pending
+	dirty   []*instanceState  // serial: min-heap on order (pushDirty / popDirty)
+	front1  [1]*instanceState // the serial scheduler's reused wavefront of one
 	started bool
 	realtim bool
 
@@ -414,7 +415,7 @@ func (e *Engine) notifyInput(in *InputPort) {
 	enqueue := ready && !inst.queued && !e.realtim
 	if enqueue {
 		inst.queued = true
-		e.dirty = append(e.dirty, inst)
+		e.pushDirty(inst)
 		e.mQueueDepth.Set(float64(len(e.dirty)))
 	}
 	e.unlock()

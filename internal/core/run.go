@@ -153,12 +153,15 @@ func (e *Engine) drainTriggers(now time.Time) {
 			e.unlock()
 			return
 		}
-		sort.Slice(e.dirty, func(i, j int) bool { return e.dirty[i].order < e.dirty[j].order })
 		var front []*instanceState
 		if serial {
-			front = []*instanceState{e.dirty[0]}
-			e.dirty = e.dirty[1:]
+			e.front1[0] = e.popDirty()
+			front = e.front1[:]
 		} else {
+			// The wavefront is every instance at the minimum depth, not the
+			// lowest order alone, so this mode keeps a plain list (see
+			// pushDirty) and sorts and filters it here.
+			sort.Slice(e.dirty, func(i, j int) bool { return e.dirty[i].order < e.dirty[j].order })
 			// Instances at the minimum depth form the wavefront: no edge
 			// connects two of them, so they are safe to run concurrently,
 			// and nothing shallower can be triggered by running them.
@@ -187,6 +190,53 @@ func (e *Engine) drainTriggers(now time.Time) {
 		e.waveNum.Add(1)
 		e.timedFront(front, func(inst *instanceState) { e.runModule(inst, RunInputs, now) })
 	}
+}
+
+// pushDirty adds inst to the dirty list: for the serial scheduler a binary
+// min-heap on topological order, so its next instance is always at the root;
+// in wavefront mode, which sorts the list itself, a plain append. The caller
+// holds the notification lock.
+func (e *Engine) pushDirty(inst *instanceState) {
+	h := append(e.dirty, inst)
+	if e.parallelism > 1 {
+		e.dirty = h
+		return
+	}
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if h[parent].order <= h[i].order {
+			break
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+	e.dirty = h
+}
+
+// popDirty removes and returns the dirty instance with the lowest
+// topological order. The caller holds the notification lock and has checked
+// that the list is not empty.
+func (e *Engine) popDirty() *instanceState {
+	h := e.dirty
+	top := h[0]
+	last := len(h) - 1
+	h[0], h[last] = h[last], nil
+	h = h[:last]
+	for i := 0; ; {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < last; c++ {
+			if h[c].order < h[least].order {
+				least = c
+			}
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	e.dirty = h
+	return top
 }
 
 // Run executes the engine in real-time mode until ctx is cancelled: one

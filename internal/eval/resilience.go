@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/asdf-project/asdf/internal/config"
@@ -169,6 +170,28 @@ type nodeDaemons struct {
 	hlogAddr string
 }
 
+// daemonClock is the virtual time the node daemons read: an atomic copy of
+// the cluster's clock, not c.Now itself. A handler whose reply the client
+// abandoned at CallTimeout may still be running when the harness next ticks
+// the cluster, and nothing else orders the two.
+type daemonClock struct{ at atomic.Pointer[time.Time] }
+
+func newDaemonClock(c *hadoopsim.Cluster) *daemonClock {
+	k := &daemonClock{}
+	t := c.Now()
+	k.at.Store(&t)
+	return k
+}
+
+// tick advances the cluster one second and publishes the new time.
+func (k *daemonClock) tick(c *hadoopsim.Cluster) {
+	c.Tick()
+	t := c.Now()
+	k.at.Store(&t)
+}
+
+func (k *daemonClock) now() time.Time { return *k.at.Load() }
+
 func startDaemons(n *hadoopsim.Node, clock func() time.Time, sadcAddr, hlogAddr string) (*nodeDaemons, error) {
 	d := &nodeDaemons{node: n, clock: clock}
 	d.sadc = rpc.NewServer(modules.ServiceSadc)
@@ -255,9 +278,10 @@ func RunCollectionResilience(cfg ResilienceConfig) (*ResilienceReport, error) {
 			d.close()
 		}
 	}()
+	clock := newDaemonClock(c)
 	var names, sadcAddrs, hlogAddrs []string
 	for _, n := range c.Slaves() {
-		d, err := startDaemons(n, c.Now, "127.0.0.1:0", "127.0.0.1:0")
+		d, err := startDaemons(n, clock.now, "127.0.0.1:0", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
@@ -414,7 +438,7 @@ breaker_cooldown = %d
 			victimHLAtRevive = victimHL()
 			sadcAtRevive = victimSadcOut.Published()
 		}
-		c.Tick()
+		clock.tick(c)
 		if err := eng.Tick(c.Now()); err != nil {
 			return nil, err
 		}

@@ -186,9 +186,10 @@ func RunRestartDrill(cfg RestartDrillConfig) (*RestartDrillReport, error) {
 			d.close()
 		}
 	}()
+	clock := newDaemonClock(c)
 	var names, sadcAddrs, hlogAddrs []string
 	for _, n := range c.Slaves() {
-		d, err := startDaemons(n, c.Now, "127.0.0.1:0", "127.0.0.1:0")
+		d, err := startDaemons(n, clock.now, "127.0.0.1:0", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
@@ -292,7 +293,7 @@ quarantine_cooldown = %d
 				daemons[v].kill()
 			}
 		}
-		c.Tick()
+		clock.tick(c)
 		if err := eng1.Tick(c.Now()); err != nil {
 			return nil, err
 		}
@@ -397,7 +398,7 @@ quarantine_cooldown = %d
 				}
 			}
 		}
-		c.Tick()
+		clock.tick(c)
 		if err := eng2.Tick(c.Now()); err != nil {
 			return nil, err
 		}

@@ -38,6 +38,9 @@ type printModule struct {
 	counters    bool
 	// Printed counts emitted lines, for tests and overhead accounting.
 	printed uint64
+
+	// row is the reused line buffer.
+	row []byte
 }
 
 func (m *printModule) Init(ctx *core.InitContext) error {
@@ -63,21 +66,44 @@ func (m *printModule) Run(ctx *core.RunContext) error {
 			if m.onlyNonzero && s.Scalar() == 0 {
 				continue
 			}
-			origin := in.Origin()
-			degraded := ""
-			if s.Degraded {
-				degraded = " degraded=1"
-			}
-			fmt.Fprintf(w, "[%s] %s node=%s source=%s values=%s%s\n",
-				m.label, s.Time.Format("2006-01-02 15:04:05"),
-				origin.Node, origin.Source, formatValues(s.Values), degraded)
-			m.printed++
+			m.writeRow(w, in.Origin(), s)
 		}
 	}
 	if m.counters && ctx.Reason == core.RunFlush {
 		m.printCounters(w, ctx)
 	}
 	return nil
+}
+
+// writeRow formats one sample as
+//
+//	[label] 2006-01-02 15:04:05 node=N source=S values=[v0 v1 ...][ degraded=1]
+//
+// and hands it to w in exactly one Write: consumers of the alarm stream
+// (the benchmark's row capture among them) treat each Write as one row.
+func (m *printModule) writeRow(w io.Writer, origin core.Origin, s core.Sample) {
+	b := append(m.row[:0], '[')
+	b = append(b, m.label...)
+	b = append(b, "] "...)
+	b = s.Time.AppendFormat(b, "2006-01-02 15:04:05")
+	b = append(b, " node="...)
+	b = append(b, origin.Node...)
+	b = append(b, " source="...)
+	b = append(b, origin.Source...)
+	b = append(b, " values=["...)
+	for i, v := range s.Values {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendFloat(b, v, 'g', 6, 64)
+	}
+	b = append(b, ']')
+	if s.Degraded {
+		b = append(b, " degraded=1"...)
+	}
+	m.row = append(b, '\n')
+	_, _ = w.Write(m.row) // a failing alarm writer must not stop the pipeline
+	m.printed++
 }
 
 // printCounters emits one line per instance with its supervisor counters,
@@ -126,14 +152,6 @@ func formatNodeCounts(m map[string]uint64) string {
 		parts = append(parts, fmt.Sprintf("%s:%d", k, m[k]))
 	}
 	return strings.Join(parts, ",")
-}
-
-func formatValues(vs []float64) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = strconv.FormatFloat(v, 'g', 6, 64)
-	}
-	return "[" + strings.Join(parts, " ") + "]"
 }
 
 var _ core.Module = (*printModule)(nil)
