@@ -132,12 +132,6 @@ func WithErrorHandler(f func(instanceID string, err error)) EngineOption {
 // WithLogger sets the engine's diagnostic logger.
 func WithLogger(l core.Logger) EngineOption { return core.WithLogger(l) }
 
-// WithParallelism sets the step-mode wavefront width: dirty instances at
-// the same topological depth run on up to n concurrent goroutines, with
-// sink output byte-identical to the serial schedule. n = 1 (the default)
-// keeps the strictly serial scheduler; n <= 0 selects GOMAXPROCS.
-func WithParallelism(n int) EngineOption { return core.WithParallelism(n) }
-
 // Supervised-runtime types: structured failures, per-instance health
 // snapshots, and the quarantine lifecycle (see internal/core/supervisor.go
 // and DESIGN.md §5d).
@@ -233,7 +227,7 @@ type Telemetry = telemetry.Registry
 func NewTelemetry() *Telemetry { return telemetry.NewRegistry() }
 
 // WithTelemetry registers the engine's runtime metrics — per-instance run
-// latency, tick/wavefront durations, queue depth, supervisor transition
+// latency, tick durations, queue depth, supervisor transition
 // counters — on reg. Set Env.Metrics to the same registry to add the
 // collection plane's RPC and timestamp-sync metrics.
 func WithTelemetry(reg *Telemetry) EngineOption { return core.WithTelemetry(reg) }

@@ -30,13 +30,12 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("asdf-bench", flag.ContinueOnError)
-	experiment := fs.String("experiment", "all", "table3 | table4 | fig6a | fig6b | fig7a | fig7b | ablation | workload | analysisscale | hier | wire | detect | all")
+	experiment := fs.String("experiment", "all", "table3 | table4 | fig6a | fig6b | fig7a | fig7b | ablation | workload | hier | wire | detect | all")
 	slaves := fs.Int("slaves", 0, "cluster size (0 = default)")
 	seed := fs.Int64("seed", 0, "base seed (0 = default)")
 	duration := fs.Int("duration", 0, "fault-run seconds (0 = default)")
 	csvOut := fs.String("csv", "", "directory to also write each exhibit's data as CSV (for plotting)")
 	hierJSON := fs.String("hier-json", "BENCH_hier.json", "output path for the hier experiment's JSON result")
-	analysisJSON := fs.String("analysis-json", "BENCH_analysis.json", "output path for the analysisscale experiment's JSON result")
 	wireJSON := fs.String("wire-json", "BENCH_wire.json", "output path for the wire experiment's JSON result")
 	detectJSON := fs.String("detect-json", "BENCH_detect.json", "output path for the detect experiment's JSON report")
 	detectMode := fs.String("detect-mode", "full", "detect matrix sizing: full | reduced (the CI gate uses reduced)")
@@ -78,18 +77,17 @@ func run(args []string) int {
 
 	ok := true
 	dispatch := map[string]func() error{
-		"table3":        runTable3,
-		"table4":        runTable4,
-		"fig6a":         func() error { return runFig6a(opts, model) },
-		"fig6b":         func() error { return runFig6b(opts, model) },
-		"fig7a":         func() error { return runFig7(opts, model, true) },
-		"fig7b":         func() error { return runFig7(opts, model, false) },
-		"ablation":      func() error { return runAblation(opts, model) },
-		"workload":      func() error { return runWorkload(opts, model) },
-		"analysisscale": func() error { return runAnalysisScale(*analysisJSON) },
-		"hier":          func() error { return runHierScale(*hierJSON) },
-		"wire":          func() error { return runWire(*wireJSON) },
-		"detect":        func() error { return runDetect(*detectJSON, *detectMode) },
+		"table3":   runTable3,
+		"table4":   runTable4,
+		"fig6a":    func() error { return runFig6a(opts, model) },
+		"fig6b":    func() error { return runFig6b(opts, model) },
+		"fig7a":    func() error { return runFig7(opts, model, true) },
+		"fig7b":    func() error { return runFig7(opts, model, false) },
+		"ablation": func() error { return runAblation(opts, model) },
+		"workload": func() error { return runWorkload(opts, model) },
+		"hier":     func() error { return runHierScale(*hierJSON) },
+		"wire":     func() error { return runWire(*wireJSON) },
+		"detect":   func() error { return runDetect(*detectJSON, *detectMode) },
 	}
 	if runAll {
 		for _, name := range []string{"table3", "table4", "fig6a", "fig6b", "fig7a", "fig7b", "ablation", "workload"} {
@@ -301,50 +299,6 @@ func runWorkload(opts eval.Options, model *analysis.Model) error {
 	fmt.Printf("(javaSort+monsterQuery) at t = %d s; the run is fault-free throughout, so\n", res.SwitchAtSec)
 	fmt.Println("every alarm is a false positive. Peer comparison rides through the change;")
 	fmt.Println("thresholds calibrated on the light phase fire persistently after it (§2.1).")
-	return nil
-}
-
-// runAnalysisScale measures the batched analysis plane's per-tick latency
-// and allocation count — one multi-node knn + mavgvec instance — against N
-// per-node instances at growing cluster sizes and writes the result as
-// JSON (the committed BENCH_analysis.json artifact).
-func runAnalysisScale(jsonPath string) error {
-	cfg := eval.DefaultAnalysisScaleConfig()
-	points, err := eval.MeasureAnalysisScaling(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println("\n=== Analysis scaling: per-tick knn+mavgvec latency, per-node vs batched instances ===")
-	fmt.Printf("(%d-wide vectors, %d-state model, window %d slide %d; batched = %d workers, block %d)\n",
-		cfg.Dim, cfg.States, cfg.Window, cfg.Slide, cfg.Fanout, cfg.Block)
-	fmt.Printf("%-8s %10s %14s %14s %10s\n", "nodes", "form", "per-tick us", "allocs/tick", "speedup")
-	rows := make([][]string, 0, len(points))
-	for _, p := range points {
-		fmt.Printf("%-8d %10s %14.1f %14.0f %9.1fx\n",
-			p.Nodes, p.Form, p.NsPerTick/1e3, p.AllocsPerTick, p.SpeedupVsPerNode)
-		rows = append(rows, []string{fmt.Sprint(p.Nodes), p.Form,
-			fmt.Sprintf("%.0f", p.NsPerTick), fmt.Sprintf("%.0f", p.AllocsPerTick),
-			fmt.Sprintf("%.2f", p.SpeedupVsPerNode)})
-	}
-	writeCSV("analysisscale.csv", []string{"nodes", "form", "ns_per_tick", "allocs_per_tick", "speedup"}, rows)
-	fmt.Println("shape target: batched per-tick latency wins grow with scale; several-x and far fewer allocs by 1024 nodes.")
-	if jsonPath != "" {
-		out := struct {
-			Experiment string                    `json:"experiment"`
-			Dim        int                       `json:"dim"`
-			States     int                       `json:"states"`
-			Window     int                       `json:"window"`
-			Slide      int                       `json:"slide"`
-			Fanout     int                       `json:"fanout"`
-			Block      int                       `json:"block"`
-			Ticks      int                       `json:"ticks"`
-			Points     []eval.AnalysisScalePoint `json:"points"`
-		}{"analysisscale", cfg.Dim, cfg.States, cfg.Window, cfg.Slide, cfg.Fanout, cfg.Block, cfg.Ticks, points}
-		if err := writeReportAtomic(jsonPath, out); err != nil {
-			return err
-		}
-		fmt.Printf("(wrote %s)\n", jsonPath)
-	}
 	return nil
 }
 

@@ -10,7 +10,7 @@
 // endpoint: GET /healthz answers ok/degraded, GET /status returns a JSON
 // snapshot of per-instance supervisor state, per-node breaker health, and
 // timestamp-sync counters, and GET /metrics exposes the same runtime — run
-// latency histograms, tick/wavefront durations, supervisor transitions,
+// latency histograms, tick durations, supervisor transitions,
 // breaker states, sync counters — in Prometheus text format for scraping.
 // -status-rpc-addr serves the status snapshot over the native RPC protocol
 // for tooling that already speaks it (see cmd/asdf-status). With -pprof the
@@ -55,11 +55,6 @@ func run(args []string) int {
 	reconnectBackoff := fs.Duration("reconnect-backoff", 0, "initial reconnect backoff to a dead daemon (0 = default 100ms)")
 	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive failures before a node's circuit breaker opens (0 = default 5)")
 	breakerCooldown := fs.Duration("breaker-cooldown", 0, "open-breaker wait before a half-open probe (0 = default 2s)")
-	parallelism := fs.Int("parallelism", 1,
-		"engine wavefront width for step-mode (tick-driven) scheduling: 1 = serial, "+
-			"0 = GOMAXPROCS; output is byte-identical at any width. The online "+
-			"real-time mode used by this command already runs every module instance "+
-			"on its own goroutine regardless")
 	runTimeout := fs.Duration("run-timeout", 0, "watchdog deadline per module Run; a wedged Run is abandoned and counted as a timeout failure (0 = no watchdog)")
 	quarThreshold := fs.Int("quarantine-threshold", 0, "consecutive module failures (error/panic/timeout) before an instance is quarantined (0 = never)")
 	quarCooldown := fs.Duration("quarantine-cooldown", 0, "quarantined-instance wait before a half-open re-probe (0 = default 10s)")
@@ -133,7 +128,6 @@ func run(args []string) int {
 	// the failure budget, never fatal.
 	eng, err := asdf.NewEngine(reg, cfg,
 		asdf.WithTelemetry(metrics),
-		asdf.WithParallelism(*parallelism),
 		asdf.WithWatchdog(*runTimeout),
 		asdf.WithQuarantine(*quarThreshold, *quarCooldown),
 		asdf.WithDegrade(degradePolicy),

@@ -34,6 +34,14 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
+// TestRunParallelismRemoved: step mode has one serial scheduler and no
+// width to set, so the old flag is rejected like any undefined flag.
+func TestRunParallelismRemoved(t *testing.T) {
+	if code := run([]string{"-parallelism", "2", "-list-modules"}); code != 2 {
+		t.Errorf("exit with -parallelism 2 = %d, want 2", code)
+	}
+}
+
 func TestRunUnreadableConfig(t *testing.T) {
 	if code := run([]string{"-config", "/nonexistent/fpt.conf"}); code != 1 {
 		t.Errorf("exit with missing config = %d, want 1", code)
@@ -253,6 +261,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if got, ok := scraped[series]; !ok || got != want {
 			t.Errorf("scraped %s = %v (present=%v), want %v", series, got, ok, want)
+		}
+	}
+	for series := range scraped {
+		if strings.HasPrefix(series, "asdf_engine_") && !strings.HasPrefix(series, "asdf_engine_tick_seconds") &&
+			series != "asdf_engine_queue_depth" {
+			t.Errorf("unexpected engine series %s", series)
 		}
 	}
 	if ih.Errors == 0 || ih.Quarantines == 0 {

@@ -78,7 +78,7 @@ func (p *BlockPool) Run(n int) {
 	if p.tasks == nil || p.closed.Load() {
 		// Serial path: no workers configured, or the pool was already
 		// released (a flushed module can still be run by a later engine
-		// Flush; correctness over parallelism there).
+		// Flush; correctness over concurrency there).
 		for lo := 0; lo < n; lo += p.block {
 			hi := lo + p.block
 			if hi > n {

@@ -10,81 +10,6 @@ import (
 	"github.com/asdf-project/asdf/internal/telemetry"
 )
 
-// slowStage models an analysis module with a fixed per-run cost: it sleeps
-// for the configured work duration, then republishes its inputs. Sleeping
-// rather than spinning keeps the wavefront comparison meaningful on
-// single-CPU runners.
-type slowStage struct {
-	work time.Duration
-	out  *OutputPort
-}
-
-func (m *slowStage) Init(ctx *InitContext) error {
-	var err error
-	if m.work, err = ctx.Config().DurationParam("work", time.Millisecond); err != nil {
-		return err
-	}
-	m.out, err = ctx.NewOutput("output0", Origin{Source: "slow"})
-	return err
-}
-
-func (m *slowStage) Run(ctx *RunContext) error {
-	time.Sleep(m.work)
-	for _, in := range ctx.Inputs() {
-		for _, s := range in.Read() {
-			m.out.Publish(s)
-		}
-	}
-	return nil
-}
-
-// BenchmarkEngineTick measures step-mode tick throughput on a fan-shaped
-// DAG — one periodic source feeding 8 same-depth stages (200µs of work
-// each) joined by a sink — comparing the serial scheduler against an
-// 8-wide wavefront. The mode=... suffix is stripped by the CI benchstat
-// step to produce the serial-vs-parallel comparison.
-func BenchmarkEngineTick(b *testing.B) {
-	const stages = 8
-	reg := testRegistry()
-	reg.Register("slow", func() Module { return &slowStage{} })
-
-	var sb strings.Builder
-	sb.WriteString("[counter]\nid = src\nperiod = 1s\n")
-	for i := 0; i < stages; i++ {
-		fmt.Fprintf(&sb, "[slow]\nid = w%d\nwork = 200us\ninput[in] = src.output0\n", i)
-	}
-	sb.WriteString("[recorder]\nid = sink\n")
-	for i := 0; i < stages; i++ {
-		fmt.Fprintf(&sb, "input[i%d] = w%d.output0\n", i, i)
-	}
-	file, err := config.ParseString(sb.String())
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	for _, mode := range []struct {
-		name string
-		opts []Option
-	}{
-		{"serial", nil},
-		{"wavefront", []Option{WithParallelism(stages)}},
-	} {
-		b.Run("mode="+mode.name, func(b *testing.B) {
-			eng, err := NewEngine(reg, file, mode.opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			start := time.Unix(1_700_000_000, 0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := eng.Tick(start.Add(time.Duration(i+1) * time.Second)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSupervisorOverhead guards the no-fault hot path: a zero-work
 // fan DAG (the supervisor's per-dispatch cost is the whole signal) ticked
 // under each supervision layer. sup=recover is the mandatory baseline

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -24,11 +23,6 @@ type Engine struct {
 	instances []*instanceState // in initialization (topological) order
 	byID      map[string]*instanceState
 
-	// parallelism is the wavefront width in step mode: how many dirty
-	// instances at the same topological depth run concurrently. 1 (the
-	// default) is the strictly serial scheduler.
-	parallelism int
-
 	// Engine-level supervision defaults; per-instance configuration
 	// parameters (run_timeout, quarantine_threshold, quarantine_cooldown,
 	// degrade) override them.
@@ -40,23 +34,20 @@ type Engine struct {
 
 	// step-mode state; also reused as the notification lock in
 	// real-time mode.
-	stepMu  chan struct{}     // binary semaphore guarding dirty/pending
-	dirty   []*instanceState  // serial: min-heap on order (pushDirty / popDirty)
-	front1  [1]*instanceState // the serial scheduler's reused wavefront of one
+	stepMu  chan struct{}    // binary semaphore guarding dirty/pending
+	dirty   []*instanceState // min-heap on order (pushDirty / popDirty)
 	started bool
 	realtim bool
 
-	// tickNum / waveNum tag error-handler output so interleaved failures
-	// from concurrent modules can be correlated to a scheduling point.
+	// tickNum tags error-handler output with the step-mode tick it
+	// belongs to.
 	tickNum atomic.Uint64
-	waveNum atomic.Uint64
 	errMu   sync.Mutex // serializes the default error handler's log lines
 
 	// Telemetry (nil without WithTelemetry; every handle is nil-safe, so
 	// the schedulers never branch on whether metrics are wired).
 	metrics     *telemetry.Registry
 	mTick       *telemetry.Histogram // step-mode Tick wall time
-	mWave       *telemetry.Histogram // wavefront (runFront batch) wall time
 	mQueueDepth *telemetry.Gauge     // step-mode dirty-list length
 }
 
@@ -79,7 +70,6 @@ type instanceState struct {
 	nextDue time.Time     // step mode: next periodic deadline
 
 	order   int            // topological index
-	depth   int            // longest path from any source (wavefront level)
 	mailbox chan RunReason // real-time mode
 
 	sup *supervisor // per-instance supervised runtime
@@ -99,30 +89,12 @@ func WithLogger(l Logger) Option {
 
 // WithErrorHandler sets the callback invoked when a module's Run returns an
 // error. The default logs and continues, matching the paper's
-// keep-monitoring-despite-module-errors behaviour. The handler may be
-// invoked concurrently from several goroutines (real-time mode, or step mode
-// with parallelism > 1); the default handler serializes its log lines.
+// keep-monitoring-despite-module-errors behaviour. In real-time mode the
+// handler may be invoked concurrently from several instance goroutines; the
+// default handler serializes its log lines.
 func WithErrorHandler(f func(instanceID string, err error)) Option {
 	return func(e *Engine) { e.onErr = f }
 }
-
-// WithParallelism sets the step-mode wavefront width: dirty instances at the
-// same topological depth run on up to n concurrent goroutines, joined per
-// wavefront. n = 1 (the default) is the strictly serial scheduler; n <= 0
-// selects GOMAXPROCS. Because a wavefront never contains two instances
-// connected by an edge, and every input port drains in configuration order,
-// sink output is byte-identical to the serial scheduler's for any n.
-func WithParallelism(n int) Option {
-	return func(e *Engine) {
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		e.parallelism = n
-	}
-}
-
-// Parallelism reports the engine's wavefront width (1 = serial).
-func (e *Engine) Parallelism() int { return e.parallelism }
 
 // WithWatchdog sets the default per-run watchdog deadline: a module Run
 // exceeding it is abandoned (the instance stays flagged until the leaked
@@ -165,7 +137,7 @@ func WithDegradeResolver(f func() DegradePolicy) Option {
 }
 
 // WithTelemetry registers the engine's runtime metrics — per-instance run
-// latency histograms, tick and wavefront durations, queue depth, and the
+// latency histograms, tick durations, queue depth, and the
 // supervisor's transition counters — on reg, for exposition on a /metrics
 // endpoint. nil (the default) disables instrumentation entirely: the hot
 // path then performs no clock reads and no atomic operations for telemetry.
@@ -184,9 +156,8 @@ func NewEngine(reg *Registry, file *config.File, opts ...Option) (*Engine, error
 		return nil, fmt.Errorf("core: NewEngine requires a registry and a configuration")
 	}
 	e := &Engine{
-		byID:        make(map[string]*instanceState),
-		stepMu:      make(chan struct{}, 1),
-		parallelism: 1,
+		byID:   make(map[string]*instanceState),
+		stepMu: make(chan struct{}, 1),
 	}
 	e.stepMu <- struct{}{}
 	for _, o := range opts {
@@ -195,20 +166,16 @@ func NewEngine(reg *Registry, file *config.File, opts ...Option) (*Engine, error
 	if e.metrics != nil {
 		e.mTick = e.metrics.Histogram("asdf_engine_tick_seconds",
 			"Wall-clock duration of one step-mode Tick, periodic fires and trigger drain included.", nil)
-		e.mWave = e.metrics.Histogram("asdf_engine_wavefront_seconds",
-			"Wall-clock duration of one wavefront batch (the concurrent instances at one topological depth).", nil)
 		e.mQueueDepth = e.metrics.Gauge("asdf_engine_queue_depth",
 			"Step-mode scheduler queue: instances currently triggered and waiting to run.")
 	}
 	if e.onErr == nil {
-		// Concurrent modules (real-time mode, wavefront mode) may fail at
-		// the same moment; the lock keeps their log lines whole, and the
-		// tick/wavefront tag says which scheduling point each belongs to.
+		// Real-time instance goroutines may fail at the same moment; the
+		// lock keeps their log lines whole.
 		e.onErr = func(id string, err error) {
 			e.errMu.Lock()
 			defer e.errMu.Unlock()
-			// err is an *InstanceError carrying the failure kind and the
-			// tick/wavefront scheduling point.
+			// err is an *InstanceError carrying the failure kind and tick.
 			e.logf("module %s: %v", id, err)
 		}
 	}
@@ -317,15 +284,6 @@ func (e *Engine) initInstance(reg *Registry, inst *instanceState) error {
 				inst.id, ref.Name, ref.Instance, ref.Output)
 		}
 		e.wire(inst, ref.Name, found)
-	}
-
-	// Wavefront level: one past the deepest upstream. Instances at equal
-	// depth share no edge, so a wavefront may run them concurrently.
-	inst.depth = 0
-	for _, in := range inst.inputs {
-		if d := in.source.owner.depth + 1; d > inst.depth {
-			inst.depth = d
-		}
 	}
 
 	ictx := &InitContext{inst: inst, engine: e}
@@ -516,7 +474,7 @@ func (e *Engine) runModule(inst *instanceState, reason RunReason, now time.Time)
 // settle records the dispatch outcome and routes any failure to the error
 // handler as a structured InstanceError.
 func (e *Engine) settle(inst *instanceState, err error, reason RunReason, now time.Time) {
-	ierr := inst.sup.settle(err, reason, now, e.tickNum.Load(), e.waveNum.Load())
+	ierr := inst.sup.settle(err, reason, now, e.tickNum.Load())
 	if ierr != nil {
 		e.onErr(inst.id, ierr)
 	}

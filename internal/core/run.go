@@ -3,19 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Tick advances the engine's virtual clock to now (step mode): every
 // periodic module whose deadline has passed runs, and input-triggered
 // modules run — in topological order — until no more triggers are pending.
-// With WithParallelism(1) (the default) Tick is strictly single-threaded;
-// with a wider wavefront, due instances at the same topological depth run
-// concurrently, with output byte-identical to the serial schedule. Tick is
-// deterministic either way; it must not be mixed with Run.
+// Tick is the paper's serial multiplexer: single-threaded and
+// deterministic, one module Run at a time. It must not be mixed with Run.
 func (e *Engine) Tick(now time.Time) error {
 	if e.realtim {
 		return fmt.Errorf("core: Tick called on an engine running in real-time mode")
@@ -26,12 +22,8 @@ func (e *Engine) Tick(now time.Time) error {
 	if e.mTick != nil {
 		start = time.Now()
 	}
-	if e.parallelism > 1 {
-		e.tickPeriodicParallel(now)
-	} else {
-		for _, inst := range e.instances {
-			e.firePeriodic(inst, now)
-		}
+	for _, inst := range e.instances {
+		e.firePeriodic(inst, now)
 	}
 	e.drainTriggers(now)
 	if e.mTick != nil {
@@ -55,75 +47,6 @@ func (e *Engine) firePeriodic(inst *instanceState, now time.Time) {
 	}
 }
 
-// tickPeriodicParallel fires due periodic instances wavefront by wavefront:
-// all due instances at one topological depth run concurrently (each
-// instance's own catch-up fires stay serial within its goroutine), and
-// depths run in ascending order, mirroring the serial topological sweep.
-func (e *Engine) tickPeriodicParallel(now time.Time) {
-	byDepth := make(map[int][]*instanceState)
-	maxDepth := 0
-	for _, inst := range e.instances {
-		if inst.period <= 0 {
-			continue
-		}
-		byDepth[inst.depth] = append(byDepth[inst.depth], inst)
-		if inst.depth > maxDepth {
-			maxDepth = inst.depth
-		}
-	}
-	for d := 0; d <= maxDepth; d++ {
-		front := byDepth[d]
-		if len(front) == 0 {
-			continue
-		}
-		e.waveNum.Add(1)
-		e.timedFront(front, func(inst *instanceState) { e.firePeriodic(inst, now) })
-	}
-}
-
-// timedFront is runFront with the per-wavefront duration histogram around
-// it; the nil check keeps uninstrumented engines clear of the clock reads.
-func (e *Engine) timedFront(front []*instanceState, fn func(*instanceState)) {
-	if e.mWave == nil {
-		e.runFront(front, fn)
-		return
-	}
-	start := time.Now()
-	e.runFront(front, fn)
-	e.mWave.Observe(time.Since(start).Seconds())
-}
-
-// runFront executes fn for every instance of one wavefront on up to
-// e.parallelism goroutines and waits for all of them.
-func (e *Engine) runFront(front []*instanceState, fn func(*instanceState)) {
-	if len(front) == 1 || e.parallelism <= 1 {
-		for _, inst := range front {
-			fn(inst)
-		}
-		return
-	}
-	workers := e.parallelism
-	if workers > len(front) {
-		workers = len(front)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(front) {
-					return
-				}
-				fn(front[i])
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // Flush runs every module once with RunFlush (in topological order) and
 // drains resulting triggers, letting windowed analyses emit their final
 // results. Call after the last Tick of an offline run.
@@ -138,70 +61,31 @@ func (e *Engine) Flush(now time.Time) error {
 	return nil
 }
 
-// drainTriggers runs dirty instances until quiescence. Serially it always
-// picks the lowest topological order; in wavefront mode it extracts every
-// dirty instance at the minimum depth and runs them concurrently. The two
-// schedules deliver identical per-port sample sequences: an instance runs
-// only after all its dirty ancestors (which have strictly smaller order and
-// depth) have run, so trigger batching — and therefore module run counts,
-// queue drops, and sink output — cannot differ.
+// drainTriggers runs dirty instances until quiescence, always the one with
+// the lowest topological order next. An instance therefore runs only after
+// all its dirty ancestors (which have strictly smaller order) have run, so
+// each run sees every update its upstreams produced this tick.
 func (e *Engine) drainTriggers(now time.Time) {
-	serial := e.parallelism <= 1
 	for {
 		e.lock()
 		if len(e.dirty) == 0 {
 			e.unlock()
 			return
 		}
-		var front []*instanceState
-		if serial {
-			e.front1[0] = e.popDirty()
-			front = e.front1[:]
-		} else {
-			// The wavefront is every instance at the minimum depth, not the
-			// lowest order alone, so this mode keeps a plain list (see
-			// pushDirty) and sorts and filters it here.
-			sort.Slice(e.dirty, func(i, j int) bool { return e.dirty[i].order < e.dirty[j].order })
-			// Instances at the minimum depth form the wavefront: no edge
-			// connects two of them, so they are safe to run concurrently,
-			// and nothing shallower can be triggered by running them.
-			minDepth := e.dirty[0].depth
-			for _, inst := range e.dirty[1:] {
-				if inst.depth < minDepth {
-					minDepth = inst.depth
-				}
-			}
-			rest := e.dirty[:0]
-			for _, inst := range e.dirty {
-				if inst.depth == minDepth {
-					front = append(front, inst)
-				} else {
-					rest = append(rest, inst)
-				}
-			}
-			e.dirty = rest
-		}
-		for _, inst := range front {
-			inst.queued = false
-		}
+		inst := e.popDirty()
+		inst.queued = false
 		e.mQueueDepth.Set(float64(len(e.dirty)))
 		e.unlock()
 
-		e.waveNum.Add(1)
-		e.timedFront(front, func(inst *instanceState) { e.runModule(inst, RunInputs, now) })
+		e.runModule(inst, RunInputs, now)
 	}
 }
 
-// pushDirty adds inst to the dirty list: for the serial scheduler a binary
-// min-heap on topological order, so its next instance is always at the root;
-// in wavefront mode, which sorts the list itself, a plain append. The caller
-// holds the notification lock.
+// pushDirty adds inst to the dirty list, a binary min-heap on topological
+// order, so the next instance to run is always at the root. The caller holds
+// the notification lock.
 func (e *Engine) pushDirty(inst *instanceState) {
 	h := append(e.dirty, inst)
-	if e.parallelism > 1 {
-		e.dirty = h
-		return
-	}
 	for i := len(h) - 1; i > 0; {
 		parent := (i - 1) / 2
 		if h[parent].order <= h[i].order {

@@ -73,11 +73,9 @@ func (k FailureKind) MarshalJSON() ([]byte, error) {
 type InstanceError struct {
 	// ID is the failing instance.
 	ID string
-	// Tick and Wavefront are the engine's scheduling-point counters at
-	// failure time, correlating interleaved failures from concurrent
-	// modules (both 0 in real-time mode, which has no tick structure).
-	Tick      uint64
-	Wavefront uint64
+	// Tick is the engine's step-mode tick counter at failure time (0 in
+	// real-time mode, which has no tick structure).
+	Tick uint64
 	// Kind classifies the failure.
 	Kind FailureKind
 	// Err is the underlying failure: the module's error, the recovered
@@ -89,8 +87,7 @@ type InstanceError struct {
 
 // Error renders the structured failure.
 func (e *InstanceError) Error() string {
-	return fmt.Sprintf("instance %s: %s (tick %d, wavefront %d): %v",
-		e.ID, e.Kind, e.Tick, e.Wavefront, e.Err)
+	return fmt.Sprintf("instance %s: %s (tick %d): %v", e.ID, e.Kind, e.Tick, e.Err)
 }
 
 // Unwrap exposes the underlying failure to errors.Is/As.
@@ -370,7 +367,7 @@ func (s *supervisor) admit(reason RunReason, now time.Time) admitDecision {
 // counters only: the engine's final drain runs even while quarantined, and
 // a clean flush must not masquerade as a successful probe (nor a failed
 // one as a budget strike).
-func (s *supervisor) settle(err error, reason RunReason, now time.Time, tick, wave uint64) error {
+func (s *supervisor) settle(err error, reason RunReason, now time.Time, tick uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err == nil {
@@ -423,12 +420,11 @@ func (s *supervisor) settle(err error, reason RunReason, now time.Time, tick, wa
 		}
 	}
 	return &InstanceError{
-		ID:        s.inst.id,
-		Tick:      tick,
-		Wavefront: wave,
-		Kind:      kind,
-		Err:       err,
-		Stack:     stack,
+		ID:    s.inst.id,
+		Tick:  tick,
+		Kind:  kind,
+		Err:   err,
+		Stack: stack,
 	}
 }
 

@@ -134,64 +134,59 @@ func supervisorRegistry() *Registry {
 	return reg
 }
 
-// TestPanicIsolatedFromSiblings is the regression test for the wavefront
-// path: a panic in one instance at depth d must not prevent same-depth
-// siblings from completing their tick — serially or in wavefront mode the
-// panic is converted to an InstanceError, never a crash.
+// TestPanicIsolatedFromSiblings: a panic in one instance must not prevent
+// its siblings from completing their tick — the panic is converted to an
+// InstanceError, never a crash.
 func TestPanicIsolatedFromSiblings(t *testing.T) {
 	const siblings = 4
-	for _, par := range []int{1, siblings} {
-		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
-			reg := supervisorRegistry()
-			cfg := mustParse(t, fanConfig(siblings, ""))
-			var ec errCollector
-			e, err := NewEngine(reg, cfg, WithParallelism(par), WithErrorHandler(ec.handler()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// w1 panics on every run.
-			mod, _ := e.ModuleOf("w1")
-			mod.(*faulty).panicOn = func(int) bool { return true }
+	reg := supervisorRegistry()
+	cfg := mustParse(t, fanConfig(siblings, ""))
+	var ec errCollector
+	e, err := NewEngine(reg, cfg, WithErrorHandler(ec.handler()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// w1 panics on every run.
+	mod, _ := e.ModuleOf("w1")
+	mod.(*faulty).panicOn = func(int) bool { return true }
 
-			const ticks = 5
-			for i := 0; i < ticks; i++ {
-				if err := e.Tick(t0().Add(time.Duration(i) * time.Second)); err != nil {
-					t.Fatal(err)
-				}
-			}
+	const ticks = 5
+	for i := 0; i < ticks; i++ {
+		if err := e.Tick(t0().Add(time.Duration(i) * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-			// Every sibling except the panicker delivered all its ticks.
-			sink, _ := e.ModuleOf("sink")
-			if got, want := len(sink.(*recorder).all()), (siblings-1)*ticks; got != want {
-				t.Errorf("sink received %d samples, want %d from the healthy siblings", got, want)
-			}
-			// The panic surfaced as a structured error, once per tick.
-			errs := ec.all()
-			if len(errs) != ticks {
-				t.Fatalf("error handler invoked %d times, want %d", len(errs), ticks)
-			}
-			var ie *InstanceError
-			if !errors.As(errs[0], &ie) {
-				t.Fatalf("error %T is not an *InstanceError", errs[0])
-			}
-			if ie.ID != "w1" || ie.Kind != FailurePanic {
-				t.Errorf("InstanceError = {ID:%s Kind:%s}, want {w1 panic}", ie.ID, ie.Kind)
-			}
-			if ie.Tick == 0 {
-				t.Error("InstanceError.Tick not stamped")
-			}
-			if ie.Stack == "" {
-				t.Error("InstanceError.Stack empty for a panic")
-			}
-			if !strings.Contains(ie.Error(), "injected panic") {
-				t.Errorf("error text %q does not carry the panic value", ie.Error())
-			}
-			// The supervisor counted the panics.
-			ih, ok := e.InstanceHealthOf("w1")
-			if !ok || ih.Panics != ticks {
-				t.Errorf("w1 health = %+v, want %d panics", ih, ticks)
-			}
-		})
+	// Every sibling except the panicker delivered all its ticks.
+	sink, _ := e.ModuleOf("sink")
+	if got, want := len(sink.(*recorder).all()), (siblings-1)*ticks; got != want {
+		t.Errorf("sink received %d samples, want %d from the healthy siblings", got, want)
+	}
+	// The panic surfaced as a structured error, once per tick.
+	errs := ec.all()
+	if len(errs) != ticks {
+		t.Fatalf("error handler invoked %d times, want %d", len(errs), ticks)
+	}
+	var ie *InstanceError
+	if !errors.As(errs[0], &ie) {
+		t.Fatalf("error %T is not an *InstanceError", errs[0])
+	}
+	if ie.ID != "w1" || ie.Kind != FailurePanic {
+		t.Errorf("InstanceError = {ID:%s Kind:%s}, want {w1 panic}", ie.ID, ie.Kind)
+	}
+	if ie.Tick == 0 {
+		t.Error("InstanceError.Tick not stamped")
+	}
+	if ie.Stack == "" {
+		t.Error("InstanceError.Stack empty for a panic")
+	}
+	if !strings.Contains(ie.Error(), "injected panic") {
+		t.Errorf("error text %q does not carry the panic value", ie.Error())
+	}
+	// The supervisor counted the panics.
+	ih, ok := e.InstanceHealthOf("w1")
+	if !ok || ih.Panics != ticks {
+		t.Errorf("w1 health = %+v, want %d panics", ih, ticks)
 	}
 }
 
@@ -199,88 +194,84 @@ func TestPanicIsolatedFromSiblings(t *testing.T) {
 // quarantined after the failure budget → half-open probe after cooldown →
 // readmit on success, or re-quarantine on a failed probe.
 func TestQuarantineLifecycle(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
-			reg := supervisorRegistry()
-			cfg := mustParse(t, fanConfig(3, "quarantine_threshold = 3\nquarantine_cooldown = 5\n"))
-			var ec errCollector
-			e, err := NewEngine(reg, cfg, WithParallelism(par), WithErrorHandler(ec.handler()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			mod, _ := e.ModuleOf("w0")
-			w0 := mod.(*faulty)
-			// Fail runs 1..4; recover afterwards. Run 4 is the first failed
-			// probe (re-quarantine); the next probe succeeds (readmit).
-			w0.errorOn = func(run int) bool { return run <= 4 }
+	reg := supervisorRegistry()
+	cfg := mustParse(t, fanConfig(3, "quarantine_threshold = 3\nquarantine_cooldown = 5\n"))
+	var ec errCollector
+	e, err := NewEngine(reg, cfg, WithErrorHandler(ec.handler()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, _ := e.ModuleOf("w0")
+	w0 := mod.(*faulty)
+	// Fail runs 1..4; recover afterwards. Run 4 is the first failed
+	// probe (re-quarantine); the next probe succeeds (readmit).
+	w0.errorOn = func(run int) bool { return run <= 4 }
 
-			tick := func(i int) {
-				t.Helper()
-				if err := e.Tick(t0().Add(time.Duration(i) * time.Second)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			state := func() SupervisorState {
-				ih, _ := e.InstanceHealthOf("w0")
-				return ih.State
-			}
+	tick := func(i int) {
+		t.Helper()
+		if err := e.Tick(t0().Add(time.Duration(i) * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	state := func() SupervisorState {
+		ih, _ := e.InstanceHealthOf("w0")
+		return ih.State
+	}
 
-			// Ticks 0,1: failures 1,2 — still healthy.
-			tick(0)
-			tick(1)
-			if got := state(); got != SupervisorHealthy {
-				t.Fatalf("after 2 failures state = %s, want healthy", got)
-			}
-			// Tick 2: third consecutive failure trips quarantine.
-			tick(2)
-			if got := state(); got != SupervisorQuarantined {
-				t.Fatalf("after 3 failures state = %s, want quarantined", got)
-			}
-			// Ticks 3..6: inside the 5s cooldown — skipped, no new failures.
-			failuresAtQuarantine := len(ec.all())
-			for i := 3; i <= 6; i++ {
-				tick(i)
-			}
-			if got := state(); got != SupervisorQuarantined {
-				t.Fatalf("inside cooldown state = %s, want quarantined", got)
-			}
-			if got := len(ec.all()); got != failuresAtQuarantine {
-				t.Errorf("%d new failures while quarantined, want 0", got-failuresAtQuarantine)
-			}
-			if w0.runCount() != 3 {
-				t.Errorf("w0 ran %d times, want 3 (quarantine must skip dispatches)", w0.runCount())
-			}
-			// Tick 7 (t=2+5): cooldown over — the probe runs and fails →
-			// re-quarantined with a fresh cooldown.
-			tick(7)
-			if got := state(); got != SupervisorQuarantined {
-				t.Fatalf("after failed probe state = %s, want quarantined", got)
-			}
-			if w0.runCount() != 4 {
-				t.Errorf("w0 ran %d times, want 4 (exactly one probe)", w0.runCount())
-			}
-			// Ticks 8..11: fresh cooldown. Tick 12 (t=7+5): probe succeeds →
-			// readmitted.
-			for i := 8; i <= 11; i++ {
-				tick(i)
-			}
-			tick(12)
-			if got := state(); got != SupervisorHealthy {
-				t.Fatalf("after successful probe state = %s, want healthy", got)
-			}
-			// Healthy again: later ticks run normally.
-			tick(13)
-			ih, _ := e.InstanceHealthOf("w0")
-			if ih.Quarantines != 2 || ih.Readmissions != 1 {
-				t.Errorf("quarantines=%d readmissions=%d, want 2 and 1", ih.Quarantines, ih.Readmissions)
-			}
-			if ih.ConsecutiveFailures != 0 {
-				t.Errorf("consecutive failures = %d after readmission, want 0", ih.ConsecutiveFailures)
-			}
-			if kinds := ec.kinds(); kinds[FailureError] != 4 {
-				t.Errorf("recorded %v, want 4 error-kind failures", kinds)
-			}
-		})
+	// Ticks 0,1: failures 1,2 — still healthy.
+	tick(0)
+	tick(1)
+	if got := state(); got != SupervisorHealthy {
+		t.Fatalf("after 2 failures state = %s, want healthy", got)
+	}
+	// Tick 2: third consecutive failure trips quarantine.
+	tick(2)
+	if got := state(); got != SupervisorQuarantined {
+		t.Fatalf("after 3 failures state = %s, want quarantined", got)
+	}
+	// Ticks 3..6: inside the 5s cooldown — skipped, no new failures.
+	failuresAtQuarantine := len(ec.all())
+	for i := 3; i <= 6; i++ {
+		tick(i)
+	}
+	if got := state(); got != SupervisorQuarantined {
+		t.Fatalf("inside cooldown state = %s, want quarantined", got)
+	}
+	if got := len(ec.all()); got != failuresAtQuarantine {
+		t.Errorf("%d new failures while quarantined, want 0", got-failuresAtQuarantine)
+	}
+	if w0.runCount() != 3 {
+		t.Errorf("w0 ran %d times, want 3 (quarantine must skip dispatches)", w0.runCount())
+	}
+	// Tick 7 (t=2+5): cooldown over — the probe runs and fails →
+	// re-quarantined with a fresh cooldown.
+	tick(7)
+	if got := state(); got != SupervisorQuarantined {
+		t.Fatalf("after failed probe state = %s, want quarantined", got)
+	}
+	if w0.runCount() != 4 {
+		t.Errorf("w0 ran %d times, want 4 (exactly one probe)", w0.runCount())
+	}
+	// Ticks 8..11: fresh cooldown. Tick 12 (t=7+5): probe succeeds →
+	// readmitted.
+	for i := 8; i <= 11; i++ {
+		tick(i)
+	}
+	tick(12)
+	if got := state(); got != SupervisorHealthy {
+		t.Fatalf("after successful probe state = %s, want healthy", got)
+	}
+	// Healthy again: later ticks run normally.
+	tick(13)
+	ih, _ := e.InstanceHealthOf("w0")
+	if ih.Quarantines != 2 || ih.Readmissions != 1 {
+		t.Errorf("quarantines=%d readmissions=%d, want 2 and 1", ih.Quarantines, ih.Readmissions)
+	}
+	if ih.ConsecutiveFailures != 0 {
+		t.Errorf("consecutive failures = %d after readmission, want 0", ih.ConsecutiveFailures)
+	}
+	if kinds := ec.kinds(); kinds[FailureError] != 4 {
+		t.Errorf("recorded %v, want 4 error-kind failures", kinds)
 	}
 }
 
@@ -427,16 +418,20 @@ input[in] = f.output0
 }
 
 // TestWatchdogStress races many watchdog-abandoned goroutines against the
-// wavefront scheduler and concurrent snapshot readers; run with -race. A
+// scheduler and concurrent snapshot readers; run with -race. A
 // permanently wedging instance must end up quarantined, while healthy
 // siblings keep completing every tick.
 func TestWatchdogStress(t *testing.T) {
 	const siblings = 6
 	reg := supervisorRegistry()
-	cfg := mustParse(t, fanConfig(siblings,
-		"run_timeout = 2ms\nquarantine_threshold = 5\nquarantine_cooldown = 1000\n"))
+	// Every instance runs under the watchdog, but only w0's deadline is
+	// tight: a 2ms wall-clock deadline on the healthy siblings would also
+	// abandon their runs whenever a loaded -race host stalls them.
+	text := fanConfig(siblings, "quarantine_threshold = 5\nquarantine_cooldown = 1000\n")
+	text = strings.Replace(text, "id = w0\n", "id = w0\nrun_timeout = 2ms\n", 1)
+	cfg := mustParse(t, text)
 	var errCount atomic.Int64
-	e, err := NewEngine(reg, cfg, WithParallelism(siblings),
+	e, err := NewEngine(reg, cfg, WithWatchdog(time.Second),
 		WithErrorHandler(func(string, error) { errCount.Add(1) }))
 	if err != nil {
 		t.Fatal(err)

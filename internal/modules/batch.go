@@ -25,27 +25,29 @@ import (
 // sample exactly as the per-node modules do (a published Sample's Values
 // live on in downstream queues).
 
-// batchParams parses the shared multi-node parameters: nodes (the form
-// switch), fanout (worker budget) and block (rows per worker block).
-func batchParams(cfg *config.Instance, module string) (nodes, workers, block int, err error) {
+// removedBatchParams are the knn/mavgvec parameters earlier versions
+// accepted. No workload set them, and the default width beat a serial pass
+// in 9 of 10 pairs on the 2048-node replay (EXPERIMENTS.md), so the width
+// is fixed.
+var removedBatchParams = []removedParam{
+	{"fanout", "the batched pass always runs min(16, nodes) workers"},
+	{"block", "the batched pass always splits nodes into blocks of 64"},
+}
+
+// batchParams parses nodes, the multi-node form switch, and returns the
+// batched pass's worker count: min(16, nodes), over the BlockPool's default
+// block.
+func batchParams(cfg *config.Instance, module string) (nodes, workers int, err error) {
+	if err = rejectRemoved(cfg, module, removedBatchParams); err != nil {
+		return 0, 0, err
+	}
 	if nodes, err = cfg.IntParam("nodes", 0); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	if nodes < 0 {
-		return 0, 0, 0, fmt.Errorf("%s: nodes must be non-negative", module)
+		return 0, 0, fmt.Errorf("%s: nodes must be non-negative", module)
 	}
-	fanout, err := cfg.FanoutParam()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	workers = resolveFanout(fanout, nodes)
-	if block, err = cfg.IntParam("block", 0); err != nil {
-		return 0, 0, 0, err
-	}
-	if block < 0 {
-		return 0, 0, 0, fmt.Errorf("%s: block must be non-negative", module)
-	}
-	return nodes, workers, block, nil
+	return nodes, resolveFanout(0, nodes), nil
 }
 
 // pendingGather drains every input into reusable per-node sample lists.
@@ -92,13 +94,13 @@ type knnBatch struct {
 	dim    int       // vector dimension, fixed by the first sample
 }
 
-func (m *knnBatch) init(ctx *core.InitContext, model *analysis.Model, nodes, workers, block int) error {
+func (m *knnBatch) init(ctx *core.InitContext, model *analysis.Model, nodes, workers int) error {
 	inputs := ctx.Inputs()
 	if len(inputs) != nodes {
 		return fmt.Errorf("knn: nodes = %d but %d inputs are wired", nodes, len(inputs))
 	}
 	m.model = model
-	m.bc = analysis.NewBatchClassifier(model, workers, block)
+	m.bc = analysis.NewBatchClassifier(model, workers, 0)
 	m.gather = newPendingGather(nodes)
 	for i, in := range inputs {
 		origin := in.Origin()
@@ -306,12 +308,12 @@ type mavgvecBatch struct {
 	varOuts  []*core.OutputPort
 }
 
-func (m *mavgvecBatch) init(ctx *core.InitContext, nodes, window, slide, workers, block int) error {
+func (m *mavgvecBatch) init(ctx *core.InitContext, nodes, window, slide, workers int) error {
 	inputs := ctx.Inputs()
 	if len(inputs) != nodes {
 		return fmt.Errorf("mavgvec: nodes = %d but %d inputs are wired", nodes, len(inputs))
 	}
-	m.sm = newBatchSmoother(nodes, window, slide, workers, block)
+	m.sm = newBatchSmoother(nodes, window, slide, workers, 0)
 	m.gather = newPendingGather(nodes)
 	for i, in := range inputs {
 		origin := in.Origin()

@@ -13,10 +13,11 @@ import (
 // The batched analysis plane's acceptance contract: a multi-node knn or
 // mavgvec instance (nodes = N) must produce byte-identical sink output to N
 // per-node instances over the same collected data — same values, same
-// order, same downstream alarms — regardless of worker fanout, block size,
-// or how the fleet is collected (per-node local, one multi-node local
-// instance, columnar RPC). Run under
-// -race these cases also prove the parallel kernels share no state.
+// order, same downstream alarms — however the fleet is collected (per-node
+// local, one multi-node local instance, columnar RPC). This layer runs the
+// pool's default block, ragged at 70 nodes; other worker and block splits
+// of the kernels are covered below it, by the analysis package's
+// worker × block table and batch_smooth_test.go.
 
 // batchCollector selects how the fleet is collected for an equivalence
 // case: per-node local sadc instances (the zero value), one multi-node
@@ -28,20 +29,17 @@ type batchCollector struct {
 
 // knnStage renders the classification stage and its sinks over the given
 // per-node source ports: N per-node knn instances, or one batched instance
-// with nodes = N and the given block size. Both forms print every
+// with nodes = N. Both forms print every
 // classified state sample (the strictest byte-level view) and fan into the
 // same analysis_bb + alarm sink.
-func knnStage(batched bool, block int) func(names, src []string) string {
+func knnStage(batched bool) func(names, src []string) string {
 	return func(names, src []string) string {
 		sigma, centroids := inlineKNNModel()
 		var b strings.Builder
 		states := make([]string, len(names))
 		if batched {
-			fmt.Fprintf(&b, "[knn]\nid = nn\nsigma = %s\ncentroids = %s\nnodes = %d\nfanout = 4\n",
+			fmt.Fprintf(&b, "[knn]\nid = nn\nsigma = %s\ncentroids = %s\nnodes = %d\n",
 				sigma, centroids, len(names))
-			if block > 0 {
-				fmt.Fprintf(&b, "block = %d\n", block)
-			}
 			for i, s := range src {
 				fmt.Fprintf(&b, "input[in%d] = %s\n", i, s)
 			}
@@ -73,16 +71,13 @@ func knnStage(batched bool, block int) func(names, src []string) string {
 // mavgvec instances, or one batched instance. Every mean and variance
 // stream is printed, and the means fan into analysis_wb + alarm sink to
 // cover the downstream path.
-func mavgvecStage(batched bool, block int) func(names, src []string) string {
+func mavgvecStage(batched bool) func(names, src []string) string {
 	return func(names, src []string) string {
 		var b strings.Builder
 		means := make([]string, len(names))
 		vars_ := make([]string, len(names))
 		if batched {
-			fmt.Fprintf(&b, "[mavgvec]\nid = smooth\nwindow = 10\nslide = 3\nnodes = %d\nfanout = 4\n", len(names))
-			if block > 0 {
-				fmt.Fprintf(&b, "block = %d\n", block)
-			}
+			fmt.Fprintf(&b, "[mavgvec]\nid = smooth\nwindow = 10\nslide = 3\nnodes = %d\n", len(names))
 			for i, s := range src {
 				fmt.Fprintf(&b, "input[in%d] = %s\n", i, s)
 			}
@@ -180,58 +175,38 @@ func runBatchEquivCase(t *testing.T, slaves int, seed int64, col batchCollector,
 
 // TestBatchedAnalysisMatchesPerNode asserts the multi-node knn and mavgvec
 // forms produce byte-identical sink output to per-node instance fans across
-// the collection matrix, including block sizes that do not divide the node
-// count (a ragged final worker block).
+// the collection matrix, including a fleet wider than the pool's default
+// 64-row block (two blocks on two workers, the second one ragged).
 func TestBatchedAnalysisMatchesPerNode(t *testing.T) {
 	cases := []struct {
 		name   string
-		stage  func(batched bool, block int) func(names, src []string) string
+		stage  func(batched bool) func(names, src []string) string
 		slaves int
 		seed   int64
 		col    batchCollector
-		block  int
 	}{
-		// 5 nodes with block 2: the last block holds a single row.
-		{"knn-local-ragged-block", knnStage, 5, 1501, batchCollector{}, 2},
-		// Default block (64) larger than the node count: one block total.
-		{"knn-local-default-block", knnStage, 4, 1502, batchCollector{}, 0},
-		// One multi-node collector feeding the batched classifier; 6 % 4 != 0.
-		{"knn-multi-node-collection", knnStage, 6, 1503, batchCollector{multi: true}, 4},
-		// Columnar RPC fleet, ragged block (4 % 3 != 0).
-		{"knn-columnar-fleet", knnStage, 4, 1504, batchCollector{wire: "columnar"}, 3},
-		{"mavgvec-local-ragged-block", mavgvecStage, 5, 1505, batchCollector{}, 2},
-		{"mavgvec-multi-node-collection", mavgvecStage, 6, 1506, batchCollector{multi: true}, 0},
-		{"mavgvec-columnar-fleet", mavgvecStage, 4, 1507, batchCollector{wire: "columnar"}, 3},
+		{"knn-local", knnStage, 5, 1501, batchCollector{}},
+		// 70 nodes = one full 64-row block + a 6-row tail block.
+		{"knn-local-ragged-default-block", knnStage, 70, 1502, batchCollector{}},
+		{"knn-multi-node-collection", knnStage, 6, 1503, batchCollector{multi: true}},
+		{"knn-columnar-fleet", knnStage, 4, 1504, batchCollector{wire: "columnar"}},
+		{"mavgvec-local", mavgvecStage, 5, 1505, batchCollector{}},
+		{"mavgvec-local-ragged-default-block", mavgvecStage, 70, 1508, batchCollector{}},
+		{"mavgvec-multi-node-collection", mavgvecStage, 6, 1506, batchCollector{multi: true}},
+		{"mavgvec-columnar-fleet", mavgvecStage, 4, 1507, batchCollector{wire: "columnar"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			perNode := runBatchEquivCase(t, tc.slaves, tc.seed, tc.col, tc.stage(false, 0))
+			perNode := runBatchEquivCase(t, tc.slaves, tc.seed, tc.col, tc.stage(false))
 			if len(perNode) == 0 {
 				t.Fatal("per-node run produced no sink output; the comparison would be vacuous")
 			}
-			batched := runBatchEquivCase(t, tc.slaves, tc.seed, tc.col, tc.stage(true, tc.block))
+			batched := runBatchEquivCase(t, tc.slaves, tc.seed, tc.col, tc.stage(true))
 			if !bytes.Equal(perNode, batched) {
 				t.Errorf("batched sink output differs from per-node\nper-node: %d bytes\nbatched:  %d bytes\nper-node head: %s\nbatched head:  %s",
 					len(perNode), len(batched),
 					firstLines(string(perNode), 3), firstLines(string(batched), 3))
 			}
 		})
-	}
-}
-
-// TestBatchedKNNSerialWorkerEquivalence pins the fanout degree of freedom:
-// one worker, many workers, and block = 1 (every row its own block) must
-// all match.
-func TestBatchedKNNSerialWorkerEquivalence(t *testing.T) {
-	const slaves, seed = 5, 1601
-	baseline := runBatchEquivCase(t, slaves, seed, batchCollector{}, knnStage(false, 0))
-	if len(baseline) == 0 {
-		t.Fatal("per-node baseline produced no sink output")
-	}
-	for _, block := range []int{1, 2, 5, 64} {
-		got := runBatchEquivCase(t, slaves, seed, batchCollector{}, knnStage(true, block))
-		if !bytes.Equal(baseline, got) {
-			t.Errorf("block=%d: batched output differs from per-node baseline", block)
-		}
 	}
 }

@@ -115,8 +115,8 @@ func fanoutCSVConfig(nodes []string, fanout int) string {
 }
 
 // runFanoutCase drives one configuration over an identically seeded
-// simulated cluster (fault injected mid-run, as in the wavefront equivalence
-// tests) and returns every sink byte it produced.
+// simulated cluster (fault injected mid-run, as in the batched-analysis
+// equivalence tests) and returns every sink byte it produced.
 func runFanoutCase(t *testing.T, build func([]string, int) string, slaves int, seed int64, fanout int) []byte {
 	t.Helper()
 	c, err := hadoopsim.NewCluster(hadoopsim.DefaultConfig(slaves, seed))

@@ -53,6 +53,22 @@ func runSim(t *testing.T, c *hadoopsim.Cluster, e *core.Engine, seconds int) {
 	}
 }
 
+// inlineKNNModel returns inline sigma/centroids parameters for a knn
+// instance over full sadc node-metric vectors, avoiding a slow training
+// run. Two synthetic workload states are enough to exercise the pipeline.
+func inlineKNNModel() (sigma, centroids string) {
+	dim := len(sadc.NodeMetricNames)
+	ones := make([]string, dim)
+	lo := make([]string, dim)
+	hi := make([]string, dim)
+	for i := 0; i < dim; i++ {
+		ones[i] = "1"
+		lo[i] = "0"
+		hi[i] = "2"
+	}
+	return strings.Join(ones, ","), strings.Join(lo, ",") + ";" + strings.Join(hi, ",")
+}
+
 // trainModelFromSim runs a fault-free cluster and trains a validated
 // black-box model from all slaves' sadc vectors.
 func trainModelFromSim(t *testing.T, slaves int, seconds int, k int) *analysis.Model {

@@ -197,10 +197,25 @@ type collectParams struct {
 	ranges  []hierarchy.Range // parallel to leaders
 }
 
-// removedParams are collection parameters earlier versions accepted. The
-// config layer ignores parameters it does not know, so an instance that still
-// set one would otherwise lose its concurrency or its wire in silence.
-var removedParams = []struct{ name, instead string }{
+// removedParam is a parameter an earlier version accepted, with what to do
+// instead.
+type removedParam struct{ name, instead string }
+
+// rejectRemoved fails when cfg still sets one of removed. The config layer
+// ignores parameters it does not know, so an instance that still set one
+// would otherwise lose its setting in silence.
+func rejectRemoved(cfg *config.Instance, module string, removed []removedParam) error {
+	for _, r := range removed {
+		if _, ok := cfg.Param(r.name); ok {
+			return fmt.Errorf("%s: parameter %q was removed: %s", module, r.name, r.instead)
+		}
+	}
+	return nil
+}
+
+// removedCollectParams are the collection parameters earlier versions
+// accepted.
+var removedCollectParams = []removedParam{
 	{"shards", "set fanout = shards × shard_fanout"},
 	{"shard_fanout", "set fanout = shards × shard_fanout"},
 	{"batch", "set wire = columnar"},
@@ -210,10 +225,8 @@ var removedParams = []struct{ name, instead string }{
 // over n nodes; module prefixes configuration errors.
 func parseCollectParams(cfg *config.Instance, env *Env, module string, n int) (collectParams, error) {
 	var cp collectParams
-	for _, r := range removedParams {
-		if _, ok := cfg.Param(r.name); ok {
-			return cp, fmt.Errorf("%s: parameter %q was removed: %s", module, r.name, r.instead)
-		}
+	if err := rejectRemoved(cfg, module, removedCollectParams); err != nil {
+		return cp, err
 	}
 	var err error
 	if cp.period, err = cfg.DurationParam("period", time.Second); err != nil {

@@ -29,21 +29,47 @@ func initEngine(t *testing.T, cfgText string) (*core.Engine, error) {
 	return core.NewEngine(NewRegistry(NewEnv()), cfg)
 }
 
-// TestRemovedCollectionParamsRejected: the config layer ignores parameters it
-// does not know, so a section that still sets a removed knob must fail at
-// Init, naming what replaces it, instead of running narrower in silence.
-func TestRemovedCollectionParamsRejected(t *testing.T) {
-	for _, tc := range []struct{ param, wantHint string }{
-		{"shards = 8", "fanout = shards × shard_fanout"},
-		{"shard_fanout = 16", "fanout = shards × shard_fanout"},
-		{"batch = true", "wire = columnar"},
-		{"batch = false", "wire = columnar"}, // set at all, whatever the value
+// analysisSections renders the same parameter lines into the per-node and
+// the batched (nodes = 2) forms of knn and mavgvec, over an rpc-mode sadc
+// source that never dials because no tick runs.
+func analysisSections(params string) map[string]string {
+	sigma, centroids := inlineKNNModel()
+	src := "[sadc]\nid = s\nnodes = a,b\nmode = rpc\naddrs = 127.0.0.1:1,127.0.0.1:2\n\n"
+	perNode := "input[in] = s.a\n"
+	batched := "nodes = 2\ninput[in0] = s.a\ninput[in1] = s.b\n"
+	knn := "[knn]\nid = x\nsigma = " + sigma + "\ncentroids = " + centroids + "\n"
+	mavgvec := "[mavgvec]\nid = x\nwindow = 3\n"
+	return map[string]string{
+		"knn":             src + knn + perNode + params,
+		"knn-batched":     src + knn + batched + params,
+		"mavgvec":         src + mavgvec + perNode + params,
+		"mavgvec-batched": src + mavgvec + batched + params,
+	}
+}
+
+// TestRemovedParamsRejected: the config layer ignores parameters it does
+// not know, so a section that still sets a removed knob must fail at Init,
+// naming what replaces it, instead of running differently in silence.
+func TestRemovedParamsRejected(t *testing.T) {
+	rpcCollectors := func(params string) map[string]string {
+		return collectorSections("nodes = a,b\nmode = rpc\naddrs = 127.0.0.1:1,127.0.0.1:2\n" + params)
+	}
+	for _, tc := range []struct {
+		sections        func(params string) map[string]string
+		param, wantHint string
+	}{
+		{rpcCollectors, "shards = 8", "fanout = shards × shard_fanout"},
+		{rpcCollectors, "shard_fanout = 16", "fanout = shards × shard_fanout"},
+		{rpcCollectors, "batch = true", "wire = columnar"},
+		{rpcCollectors, "batch = false", "wire = columnar"}, // set at all, whatever the value
+		{analysisSections, "fanout = 4", "min(16, nodes) workers"},
+		{analysisSections, "fanout = 1", "min(16, nodes) workers"},
+		{analysisSections, "block = 8", "blocks of 64"},
 	} {
-		params := "nodes = a,b\nmode = rpc\naddrs = 127.0.0.1:1,127.0.0.1:2\n" + tc.param + "\n"
-		for module, cfgText := range collectorSections(params) {
+		name := strings.Fields(tc.param)[0]
+		for module, cfgText := range tc.sections(tc.param + "\n") {
 			t.Run(module+"/"+tc.param, func(t *testing.T) {
 				_, err := initEngine(t, cfgText)
-				name := strings.Fields(tc.param)[0]
 				if err == nil || !strings.Contains(err.Error(), `"`+name+`" was removed`) ||
 					!strings.Contains(err.Error(), tc.wantHint) {
 					t.Errorf("error = %v, want %q rejected with hint %q", err, name, tc.wantHint)

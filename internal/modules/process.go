@@ -22,9 +22,8 @@ import (
 //	slide  = <samples>   (default 1: emit on every new sample once full)
 //	nodes  = <count>     (multi-node form: one instance smooths count input
 //	                      streams batched per tick; outputs mean0..N-1 and
-//	                      var0..N-1 instead of output0/output1)
-//	fanout = <int>       (multi-node: worker budget; default min(16, nodes))
-//	block  = <int>       (multi-node: nodes per worker block; default 64)
+//	                      var0..N-1 instead of output0/output1;
+//	                      min(16, N) workers over 64-node blocks)
 type mavgvecModule struct {
 	window     *stats.VectorWindow
 	windowSize int
@@ -59,13 +58,13 @@ func (m *mavgvecModule) Init(ctx *core.InitContext) error {
 	if m.slide <= 0 {
 		return fmt.Errorf("mavgvec: slide must be positive")
 	}
-	nodes, workers, block, err := batchParams(cfg, "mavgvec")
+	nodes, workers, err := batchParams(cfg, "mavgvec")
 	if err != nil {
 		return err
 	}
 	if nodes > 0 {
 		m.multi = &mavgvecBatch{}
-		return m.multi.init(ctx, nodes, m.windowSize, m.slide, workers, block)
+		return m.multi.init(ctx, nodes, m.windowSize, m.slide, workers)
 	}
 	inputs := ctx.Inputs()
 	if len(inputs) != 1 {
@@ -120,11 +119,8 @@ var _ core.Module = (*mavgvecModule)(nil)
 //	nodes      = <count>                (multi-node form: one instance
 //	                                     classifies count input streams as a
 //	                                     batched flat matrix per tick;
-//	                                     outputs output0..N-1)
-//	fanout     = <int>                  (multi-node: worker budget; default
-//	                                     min(16, nodes))
-//	block      = <int>                  (multi-node: nodes per worker block;
-//	                                     default 64)
+//	                                     outputs output0..N-1; min(16, N)
+//	                                     workers over 64-node blocks)
 type knnModule struct {
 	model   *analysis.Model
 	out     *core.OutputPort
@@ -179,13 +175,13 @@ func (m *knnModule) Init(ctx *core.InitContext) error {
 		return err
 	}
 	m.model = model
-	nodes, workers, block, err := batchParams(cfg, "knn")
+	nodes, workers, err := batchParams(cfg, "knn")
 	if err != nil {
 		return err
 	}
 	if nodes > 0 {
 		m.multi = &knnBatch{}
-		return m.multi.init(ctx, m.model, nodes, workers, block)
+		return m.multi.init(ctx, m.model, nodes, workers)
 	}
 	inputs := ctx.Inputs()
 	if len(inputs) != 1 {

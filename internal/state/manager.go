@@ -103,8 +103,8 @@ type Options struct {
 
 // Manager owns one state file: it locks it, restores the engine from it on
 // Open, and rewrites it on a timer (Run) or on demand (SnapshotNow). Never
-// call SnapshotNow from inside the engine's wavefront — the whole point of
-// the timer is to keep serialization off the hot tick path.
+// call SnapshotNow from inside a module Run — the whole point of the timer
+// is to keep serialization off the hot tick path.
 type Manager struct {
 	eng  Engine
 	opt  Options
@@ -128,7 +128,7 @@ type Manager struct {
 // returns the manager. A snapshot held by a live process is a hard error; a
 // corrupt snapshot is quarantined aside and the node boots fresh. Open must
 // run before the engine's first dispatch: restoring supervisors or breakers
-// into a running engine races with the wavefront.
+// into a running engine races with its dispatches.
 func Open(eng Engine, opts Options) (*Manager, error) {
 	if opts.Path == "" {
 		return nil, errors.New("state: Options.Path is required")
