@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -90,18 +91,19 @@ func MeasureHierScaling(cfg HierScaleConfig) ([]HierScalePoint, error) {
 	return points, nil
 }
 
-// delayedCaller fakes a collection daemon one network round trip away.
+// delayedCaller fakes a collection daemon one network round trip away: it
+// answers every call with the same reply, decoded as the client decodes one.
 type delayedCaller struct {
 	delay time.Duration
-	rec   sadc.Record
+	reply []byte
 }
 
 func (c *delayedCaller) Call(method string, params, result any) error {
 	time.Sleep(c.delay)
-	if rec, ok := result.(*sadc.Record); ok {
-		*rec = c.rec
+	if result == nil {
+		return nil
 	}
-	return nil
+	return rpc.DecodeResult(c.reply, result)
 }
 
 func (c *delayedCaller) Close() error { return nil }
@@ -115,8 +117,12 @@ func timeHierSweep(nodes, leaders int, cfg HierScaleConfig) (time.Duration, erro
 		names[i] = fmt.Sprintf("n%04d", i)
 		fakeAddrs[i] = fmt.Sprintf("10.0.0.%d:9999", i)
 	}
+	reply, err := json.Marshal(sadc.Record{Node: make([]float64, 64)})
+	if err != nil {
+		return 0, err
+	}
 	dial := func(addr, client string) (rpc.Caller, error) {
-		return &delayedCaller{delay: cfg.RPCLatency, rec: sadc.Record{Node: make([]float64, 64)}}, nil
+		return &delayedCaller{delay: cfg.RPCLatency, reply: reply}, nil
 	}
 	env := modules.NewEnv()
 	var cfgText string

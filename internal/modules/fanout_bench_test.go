@@ -1,6 +1,7 @@
 package modules
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -14,18 +15,20 @@ import (
 
 // delayedSadcCaller simulates a collection daemon one network round trip
 // away: each call sleeps for the configured latency, then returns a canned
-// record. Latency-bound concurrency gains show up even on a single CPU.
+// record's JSON. Latency-bound concurrency gains show up even on a single CPU.
 type delayedSadcCaller struct {
 	delay time.Duration
-	rec   sadc.Record
 }
+
+// delayedSadcReply is the canned record every delayedSadcCaller answers with.
+var delayedSadcReply, _ = json.Marshal(sadc.Record{Node: make([]float64, 64)})
 
 func (c *delayedSadcCaller) Call(method string, params, result any) error {
 	time.Sleep(c.delay)
-	if rec, ok := result.(*sadc.Record); ok {
-		*rec = c.rec
+	if result == nil {
+		return nil
 	}
-	return nil
+	return rpc.DecodeResult(delayedSadcReply, result)
 }
 
 func (c *delayedSadcCaller) Close() error { return nil }
@@ -51,10 +54,7 @@ func BenchmarkCollectionFanout(b *testing.B) {
 				}
 				env := NewEnv()
 				env.Dial = func(addr, client string) (rpc.Caller, error) {
-					return &delayedSadcCaller{
-						delay: rpcLatency,
-						rec:   sadc.Record{Node: make([]float64, 64)},
-					}, nil
+					return &delayedSadcCaller{delay: rpcLatency}, nil
 				}
 				cfgText := fmt.Sprintf(
 					"[sadc]\nid = collect\nnodes = %s\nmode = rpc\naddrs = %s\nperiod = 1s\nfanout = %d\n",

@@ -10,7 +10,6 @@ import (
 	"github.com/asdf-project/asdf/internal/core"
 	"github.com/asdf-project/asdf/internal/hierarchy"
 	"github.com/asdf-project/asdf/internal/rpc"
-	"github.com/asdf-project/asdf/internal/sadc"
 )
 
 // BenchmarkCollectionHier measures per-tick collection latency of the
@@ -35,10 +34,7 @@ func BenchmarkCollectionHier(b *testing.B) {
 					fakeAddrs[i] = fmt.Sprintf("10.0.0.%d:9999", i)
 				}
 				dial := func(addr, client string) (rpc.Caller, error) {
-					return &delayedSadcCaller{
-						delay: rpcLatency,
-						rec:   sadc.Record{Node: make([]float64, 64)},
-					}, nil
+					return &delayedSadcCaller{delay: rpcLatency}, nil
 				}
 				env := NewEnv()
 				var cfgText string

@@ -8,18 +8,31 @@
 // exchange (protocol version and service name), after which the client
 // issues synchronous request/response calls. Both ends count exact wire
 // bytes, which is how the Table 4 bandwidth experiment is measured.
+//
+// Every JSON body is encoding/json's spelling, but the per-tick replies are
+// not spelled by reflection: a handler result implementing JSONAppender is
+// appended into the response frame inside an envelope the server spells
+// itself, and Client.Call reads that envelope in one pass and hands the
+// result bytes to a result implementing JSONParser. The bytes select the
+// path, as they do for a pull request: anything but the canonical envelope
+// takes the json.Unmarshal decode, so the bytes on the wire and the values
+// and errors a call returns are what they were when encoding/json did all
+// of it.
 package rpc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // ProtocolVersion identifies the wire protocol; the hello exchange rejects
@@ -110,8 +123,8 @@ func writeFrame(w io.Writer, frame []byte, flag uint32) error {
 
 // frameScratch pools the buffers outgoing frames are serialized in (each at
 // least frameHeaderLen long), so the steady state encode path performs zero
-// allocations regardless of frame size. The JSON frame writer and the stream
-// request path share it.
+// allocations regardless of frame size. The JSON frame writer, call requests
+// and responses, and the stream request path share it.
 var frameScratch = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
@@ -221,6 +234,11 @@ func (fr *frameReader) readJSON(v any) error {
 	if err != nil {
 		return err // io.EOF passes through for clean shutdown detection
 	}
+	return decodeJSONFrame(body, isBinary, v)
+}
+
+// decodeJSONFrame decodes a frame body, which must be a JSON frame, into v.
+func decodeJSONFrame(body []byte, isBinary bool, v any) error {
 	if isBinary {
 		return fmt.Errorf("rpc: unexpected binary frame of %d bytes", len(body))
 	}
@@ -233,6 +251,122 @@ func (fr *frameReader) readJSON(v any) error {
 // HandlerFunc serves one method. Params is the raw JSON sent by the client;
 // the returned value is marshaled as the result.
 type HandlerFunc func(params json.RawMessage) (any, error)
+
+// JSONAppender is a value that spells its own JSON: AppendJSON appends to dst
+// exactly the bytes json.Marshal gives for the value, or returns the error
+// json.Marshal returns for it. A handler result or call params implementing
+// it is appended straight into the outgoing frame.
+type JSONAppender interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
+// JSONParser is a call result that decodes its own JSON: ParseJSON leaves
+// the value, and returns the error, that json.Unmarshal would for the same
+// bytes into the zero value. Client.Call hands it the result bytes of the
+// response frame, which it must not retain.
+type JSONParser interface {
+	ParseJSON(data []byte) error
+}
+
+// appendJSONValue appends v's JSON to dst: AppendJSON if v spells itself,
+// else one json.Marshal.
+func appendJSONValue(dst []byte, v any) ([]byte, error) {
+	if a, ok := v.(JSONAppender); ok {
+		return a.AppendJSON(dst)
+	}
+	b, err := json.Marshal(v)
+	return append(dst, b...), err
+}
+
+// appendJSONString appends s as json.Marshal spells it: verbatim between
+// quotes when no byte of it needs escaping, else by json.Marshal itself.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// appendRequest appends the body of a call request: the bytes
+// json.Marshal(request{ID, Method, Params: json.Marshal(params)}) gives,
+// spelled around the params' own bytes.
+func appendRequest(frame []byte, id uint64, method string, params any) ([]byte, error) {
+	frame = append(frame, `{"id":`...)
+	frame = strconv.AppendUint(frame, id, 10)
+	frame = append(frame, `,"method":`...)
+	frame = appendJSONString(frame, method)
+	if params != nil {
+		var err error
+		frame = append(frame, `,"params":`...)
+		if frame, err = appendJSONValue(frame, params); err != nil {
+			return frame, err
+		}
+	}
+	return append(frame, '}'), nil
+}
+
+// appendResponse serves one call and appends its response body to frame.
+// The envelope {"id":N,"result":…} is spelled straight into the frame around
+// the result's own bytes (appendJSONValue); the bytes equal
+// json.Marshal(response{ID, Result: json.Marshal(result)}), whose compaction
+// of a marshalled result changes nothing.
+func (s *Server) appendResponse(frame []byte, req *request) []byte {
+	s.mu.Lock()
+	h, ok := s.handlers[req.Method]
+	s.mu.Unlock()
+	if !ok {
+		return appendErrorResponse(frame, req.ID, fmt.Sprintf("unknown method %q", req.Method))
+	}
+	result, err := h(req.Params)
+	if err != nil {
+		return appendErrorResponse(frame, req.ID, err.Error())
+	}
+	head := len(frame)
+	frame = append(frame, `{"id":`...)
+	frame = strconv.AppendUint(frame, req.ID, 10)
+	frame = append(frame, `,"result":`...)
+	if frame, err = appendJSONValue(frame, result); err != nil {
+		return appendErrorResponse(frame[:head], req.ID, fmt.Sprintf("marshal result: %v", err))
+	}
+	return append(frame, '}')
+}
+
+func appendErrorResponse(frame []byte, id uint64, msg string) []byte {
+	b, _ := json.Marshal(response{ID: id, Error: msg}) // cannot fail
+	return append(frame, b...)
+}
+
+// The fixed bytes of a result response as appendResponse spells it.
+var (
+	callResponseHead = []byte(`{"id":`)
+	callResponseMid  = []byte(`,"result":`)
+)
+
+// parseCallResponse recognises the envelope appendResponse emits and cuts
+// out the result bytes. It does not check that they are one JSON value: the
+// decode of the result does (see Client.Call).
+func parseCallResponse(body []byte) (id uint64, result []byte, ok bool) {
+	rest, ok1 := bytes.CutPrefix(body, callResponseHead)
+	id, rest, ok2 := cutCanonicalUint(rest)
+	rest, ok3 := bytes.CutPrefix(rest, callResponseMid)
+	result, ok4 := bytes.CutSuffix(rest, []byte{'}'})
+	return id, result, ok1 && ok2 && ok3 && ok4 && len(result) > 0
+}
+
+// DecodeResult decodes a call's result bytes into result as Client.Call
+// does: ParseJSON if result decodes itself, else one json.Unmarshal. Fakes
+// of Caller decode their canned replies with it.
+func DecodeResult(data []byte, result any) error {
+	if p, ok := result.(JSONParser); ok {
+		return p.ParseJSON(data)
+	}
+	return json.Unmarshal(data, result)
+}
 
 // Faults configures server-side fault injection, used by tests and chaos
 // drills to exercise the collection plane's failure handling without a real
@@ -428,39 +562,31 @@ func (s *Server) serveConn(raw net.Conn) {
 			// Fire-and-forget: credits wake the stream's pusher, which owns
 			// the response frames.
 			cs.creditStream(&req)
-		default:
-			var resp response
-			if req.Method == MethodStreamOpen {
-				resp = cs.openStream(&req)
-			} else {
-				resp = s.dispatch(&req)
-			}
-			if d := s.currentFaults().Delay; d > 0 {
-				time.Sleep(d) // injected fault: slow node
-			}
+		case MethodStreamOpen:
+			resp := cs.openStream(&req)
+			s.injectDelay()
 			if err := cs.write(resp); err != nil {
+				return
+			}
+		default:
+			bufp := frameScratch.Get().(*[]byte)
+			frame := s.appendResponse((*bufp)[:frameHeaderLen], &req)
+			s.injectDelay()
+			err := cs.writeJSON(frame)
+			*bufp = frame[:0]
+			frameScratch.Put(bufp)
+			if err != nil {
 				return
 			}
 		}
 	}
 }
 
-func (s *Server) dispatch(req *request) response {
-	s.mu.Lock()
-	h, ok := s.handlers[req.Method]
-	s.mu.Unlock()
-	if !ok {
-		return response{ID: req.ID, Error: fmt.Sprintf("unknown method %q", req.Method)}
+// injectDelay applies the slow-node fault before a response is sent.
+func (s *Server) injectDelay() {
+	if d := s.currentFaults().Delay; d > 0 {
+		time.Sleep(d)
 	}
-	result, err := h(req.Params)
-	if err != nil {
-		return response{ID: req.ID, Error: err.Error()}
-	}
-	raw, err := json.Marshal(result)
-	if err != nil {
-		return response{ID: req.ID, Error: fmt.Sprintf("marshal result: %v", err)}
-	}
-	return response{ID: req.ID, Result: raw}
 }
 
 // Close stops the listener and closes all active connections.
@@ -556,44 +682,72 @@ func (c *Client) armDeadline(extra time.Duration) {
 }
 
 // Call invokes method with params (marshaled to JSON) and unmarshals the
-// result into result (which may be nil to discard).
+// result into result (which may be nil to discard). Params implementing
+// JSONAppender and a result implementing JSONParser spell and decode
+// themselves.
 func (c *Client) Call(method string, params, result any) error {
-	var raw json.RawMessage
-	if params != nil {
-		b, err := json.Marshal(params)
-		if err != nil {
-			return fmt.Errorf("rpc: marshal params: %w", err)
-		}
-		raw = b
-	}
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClosed
-	}
-	c.nextID++
-	req := request{ID: c.nextID, Method: method, Params: raw}
-
-	c.armDeadline(0)
-	if err := writeJSONFrame(c.conn, req); err != nil {
+	want, err := c.sendCall(method, params)
+	if err != nil {
 		return err
 	}
-	var resp response
-	if err := c.fr.readJSON(&resp); err != nil {
+	body, isBinary, err := c.fr.next()
+	if err != nil {
 		if errors.Is(err, io.EOF) {
 			return ErrClosed
 		}
 		return fmt.Errorf("rpc: call %s: %w", method, err)
 	}
-	if resp.ID != req.ID {
-		return fmt.Errorf("rpc: call %s: response id %d, want %d", method, resp.ID, req.ID)
+	return decodeCallResponse(method, want, body, isBinary, result)
+}
+
+// sendCall spells the request of the next call in pooled scratch and sends
+// it, returning the call's id. The caller must hold c.mu.
+func (c *Client) sendCall(method string, params any) (uint64, error) {
+	bufp := frameScratch.Get().(*[]byte)
+	defer frameScratch.Put(bufp)
+	frame, err := appendRequest((*bufp)[:frameHeaderLen], c.nextID+1, method, params)
+	*bufp = frame[:0]
+	if err != nil {
+		return 0, fmt.Errorf("rpc: marshal params: %w", err)
+	}
+	if c.closed {
+		return 0, ErrClosed
+	}
+	c.nextID++
+	c.armDeadline(0)
+	return c.nextID, writeFrame(c.conn, frame, 0)
+}
+
+// decodeCallResponse judges the response frame to call want of method and
+// decodes its result. In one pass, the envelope appendResponse spells, with
+// the id due, hands its result bytes straight to the result's decode. If
+// those bytes are not one JSON value (a SyntaxError, which leaves result
+// untouched) the frame was some other JSON after all, and the envelope
+// decode below judges it as it judges every other spelling.
+func decodeCallResponse(method string, want uint64, body []byte, isBinary bool, result any) error {
+	if id, res, ok := parseCallResponse(body); !isBinary && ok && id == want && result != nil {
+		err := DecodeResult(res, result)
+		if err == nil {
+			return nil
+		}
+		if syntax := (*json.SyntaxError)(nil); !errors.As(err, &syntax) {
+			return fmt.Errorf("rpc: call %s: unmarshal result: %w", method, err)
+		}
+	}
+	var resp response
+	if err := decodeJSONFrame(body, isBinary, &resp); err != nil {
+		return fmt.Errorf("rpc: call %s: %w", method, err)
+	}
+	if resp.ID != want {
+		return fmt.Errorf("rpc: call %s: response id %d, want %d", method, resp.ID, want)
 	}
 	if resp.Error != "" {
 		return &RemoteError{Method: method, Message: resp.Error}
 	}
 	if result != nil && resp.Result != nil {
-		if err := json.Unmarshal(resp.Result, result); err != nil {
+		if err := DecodeResult(resp.Result, result); err != nil {
 			return fmt.Errorf("rpc: call %s: unmarshal result: %w", method, err)
 		}
 	}

@@ -159,6 +159,13 @@ func (cs *connState) write(v any) error {
 	return writeJSONFrame(cs.cc, v)
 }
 
+// writeJSON sends a JSON frame already built after its reserved header.
+func (cs *connState) writeJSON(frame []byte) error {
+	cs.writeMu.Lock()
+	defer cs.writeMu.Unlock()
+	return writeFrame(cs.cc, frame, 0)
+}
+
 // writeBinary sends an already-encoded columnar frame (header bytes reserved).
 func (cs *connState) writeBinary(frame []byte) error {
 	cs.writeMu.Lock()
