@@ -39,6 +39,11 @@ type Engine struct {
 	started bool
 	realtim bool
 
+	// The collect phase (RegisterCollect): the instances that joined it, in
+	// topological order, and the reused list of those due this Tick.
+	collectors []*instanceState
+	due        []*instanceState
+
 	// tickNum tags error-handler output with the step-mode tick it
 	// belongs to.
 	tickNum atomic.Uint64
@@ -71,6 +76,12 @@ type instanceState struct {
 
 	order   int            // topological index
 	mailbox chan RunReason // real-time mode
+
+	// collect is the function the instance registered for the collect
+	// phase (nil if none); collectPanic is a panic the phase recovered from
+	// it, which the instance's next periodic Run reports.
+	collect      func()
+	collectPanic *panicError
 
 	sup *supervisor // per-instance supervised runtime
 
@@ -295,6 +306,11 @@ func (e *Engine) initInstance(reg *Registry, inst *instanceState) error {
 	}
 	if inst.period == 0 && len(inst.inputs) == 0 {
 		return fmt.Errorf("core: instance %q has no inputs and no periodic schedule; it would never run", inst.id)
+	}
+	// A watchdog or a quarantine budget must see the fetch, so a supervised
+	// instance keeps collecting inside its Run.
+	if inst.collect != nil && inst.period > 0 && inst.sup.runTimeout <= 0 && inst.sup.threshold <= 0 {
+		e.collectors = append(e.collectors, inst)
 	}
 	return nil
 }

@@ -11,6 +11,14 @@ import (
 
 // Module is the fpt-core plug-in interface (§3.2). All modules —
 // data-collection and analysis alike — implement the same two methods.
+//
+// In step mode (Engine.Tick) Runs are serial: one at a time, in
+// topological order. A Tick may first run a collect phase, in which the
+// collect functions that due periodic instances registered at Init
+// (InitContext.RegisterCollect) run concurrently with each other, at most
+// FanoutCap at a time, before any Run starts; a collect function touches
+// only its own instance's state. In real-time mode (Engine.Run) the Runs of
+// different instances may run concurrently.
 type Module interface {
 	// Init is called once when the instance is created, in DAG dependency
 	// order. It validates inputs and configuration, creates outputs, and
@@ -129,6 +137,21 @@ func (c *InitContext) TriggerOnInputs(n int) error {
 	}
 	c.inst.trigger = n
 	return nil
+}
+
+// RegisterCollect joins the instance to step mode's collect phase: before
+// any periodic Run of a Tick in which the instance is due, the engine calls
+// fn — concurrently with the other due instances' collect functions, at
+// most FanoutCap at a time — and waits for all of them. fn is for I/O
+// (fetching this fire's data into the module's own scratch); the Run that
+// follows publishes it. The Run must still fetch inline when nothing was
+// collected for its fire: Engine.Run never calls fn, a clock jump fires an
+// instance more than once per Tick but collects once, and an instance with
+// a watchdog or a quarantine threshold is kept out of the phase (it fetches
+// under its supervisor, inside Run). A panic in fn is recovered and
+// reported by the instance's next periodic Run as that Run's panic.
+func (c *InitContext) RegisterCollect(fn func()) {
+	c.inst.collect = fn
 }
 
 // Logf writes to the engine log.

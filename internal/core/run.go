@@ -10,8 +10,10 @@ import (
 // Tick advances the engine's virtual clock to now (step mode): every
 // periodic module whose deadline has passed runs, and input-triggered
 // modules run — in topological order — until no more triggers are pending.
-// Tick is the paper's serial multiplexer: single-threaded and
-// deterministic, one module Run at a time. It must not be mixed with Run.
+// The Runs are the paper's serial multiplexer: one at a time, in a
+// deterministic order. Before them, the collect phase fetches for every due
+// instance that registered a collect function, concurrently. Tick must not
+// be mixed with Run.
 func (e *Engine) Tick(now time.Time) error {
 	if e.realtim {
 		return fmt.Errorf("core: Tick called on an engine running in real-time mode")
@@ -22,6 +24,7 @@ func (e *Engine) Tick(now time.Time) error {
 	if e.mTick != nil {
 		start = time.Now()
 	}
+	e.collectPhase(now)
 	for _, inst := range e.instances {
 		e.firePeriodic(inst, now)
 	}
@@ -30,6 +33,25 @@ func (e *Engine) Tick(now time.Time) error {
 		e.mTick.Observe(time.Since(start).Seconds())
 	}
 	return nil
+}
+
+// collectPhase calls the collect function of every joined instance due to
+// fire at now, at most FanoutCap at a time, and returns once all have
+// returned: no worker outlives the phase, and the serial Runs that follow
+// see every result. A Tick without a joined instance starts no goroutine
+// and allocates nothing.
+func (e *Engine) collectPhase(now time.Time) {
+	if len(e.collectors) == 0 {
+		return
+	}
+	due := e.due[:0]
+	for _, inst := range e.collectors {
+		if inst.nextDue.IsZero() || !now.Before(inst.nextDue) {
+			due = append(due, inst)
+		}
+	}
+	e.due = due
+	FanOut(len(due), FanoutCap, func(i int) { due[i].collectRecovered() })
 }
 
 // firePeriodic runs one instance's due periodic fires (including catch-up

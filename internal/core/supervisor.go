@@ -606,8 +606,15 @@ func (e *Engine) invoke(inst *instanceState, reason RunReason, now time.Time) er
 	}
 }
 
-// callRecovered invokes Run with panics converted to errors.
+// callRecovered invokes Run with panics converted to errors. A panic the
+// collect phase recovered for this fire is the periodic Run's outcome: Run
+// is not called on the scratch the panicking collect left behind.
 func (e *Engine) callRecovered(inst *instanceState, reason RunReason, now time.Time) (err error) {
+	if reason == RunPeriodic && inst.collectPanic != nil {
+		pe := inst.collectPanic
+		inst.collectPanic = nil
+		return pe
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = &panicError{val: r, stack: debug.Stack()}
@@ -615,4 +622,15 @@ func (e *Engine) callRecovered(inst *instanceState, reason RunReason, now time.T
 	}()
 	rctx := &RunContext{inst: inst, engine: e, Reason: reason, Now: now}
 	return inst.module.Run(rctx)
+}
+
+// collectRecovered runs the instance's collect function on a collect-phase
+// worker, keeping a panic for the instance's next periodic Run to report.
+func (inst *instanceState) collectRecovered() {
+	defer func() {
+		if r := recover(); r != nil {
+			inst.collectPanic = &panicError{val: r, stack: debug.Stack()}
+		}
+	}()
+	inst.collect()
 }

@@ -9,8 +9,9 @@ import (
 // Tailer follows a log file on disk, copying appended bytes into a Buffer —
 // the deployment-side input path of hadoop_log_rpcd, which tails the log
 // files Hadoop daemons natively write. It survives files that do not exist
-// yet (waiting for them to appear) and files that are truncated or rotated
-// (reopening from the start).
+// yet (waiting for them to appear), files truncated in place (reading them
+// again from the start) and rename rotations (finishing the old file, then
+// following the new one from its start).
 type Tailer struct {
 	path    string
 	buf     *Buffer
@@ -66,62 +67,109 @@ func (t *Tailer) Stop() {
 
 func (t *Tailer) run() {
 	defer close(t.done)
-	var f *os.File
-	var offset int64
-	defer func() {
-		if f != nil {
-			_ = f.Close()
-		}
-	}()
+	var tf tailFile
+	defer tf.close()
 	chunk := make([]byte, 64*1024)
+	ticker := time.NewTicker(t.poll)
+	defer ticker.Stop()
 	for {
 		select {
 		case <-t.stop:
 			return
-		case <-time.After(t.poll):
+		case <-ticker.C:
 		}
-		if f == nil {
-			var err error
-			f, err = os.Open(t.path)
+		t.step(&tf, chunk)
+	}
+}
+
+// tailFile is the descriptor a Tailer follows and its read position.
+type tailFile struct {
+	f      *os.File
+	offset int64
+	// partial: the bytes copied so far end inside a line.
+	partial bool
+}
+
+func (tf *tailFile) close() {
+	if tf.f != nil {
+		_ = tf.f.Close()
+		tf.f = nil
+	}
+}
+
+// step is one poll. It copies what was appended to the open file since the
+// last poll into the buffer. When the path now names another file (a rename
+// rotation: log4j's DailyRollingFileAppender renames the live log and opens
+// a new one under the old name), it first reads the old file to EOF — the
+// writer may have appended to it up to the rename — and then follows the
+// new file from offset 0. A file that was renamed away and not replaced yet
+// keeps being followed until a new one appears.
+func (t *Tailer) step(tf *tailFile, chunk []byte) {
+	for {
+		if tf.f == nil {
+			f, err := os.Open(t.path)
 			if err != nil {
-				continue // not created yet
+				return // not created yet, or rotated away and not replaced
 			}
-			offset = 0
+			tf.f, tf.offset = f, 0
 			if t.fromEnd {
 				// Only the very first open skips history; rotated or
 				// truncated files are new content and read in full.
 				t.fromEnd = false
 				if info, err := f.Stat(); err == nil {
-					offset = info.Size()
+					tf.offset = info.Size()
 				}
 			}
 		}
-		info, err := f.Stat()
+		info, err := tf.f.Stat()
 		if err != nil {
-			_ = f.Close()
-			f = nil
-			continue
+			tf.close()
+			return
 		}
-		if info.Size() < offset {
-			// Truncated or rotated in place: start over. (A rename-style
-			// rotation is caught below when reads fail or the file
-			// shrinks on the next cycle.)
-			offset = 0
+		if info.Size() < tf.offset {
+			// Truncated in place (copytruncate rotation): start over.
+			t.endLine(tf)
+			tf.offset = 0
 		}
-		for offset < info.Size() {
-			n, err := f.ReadAt(chunk, offset)
-			if n > 0 {
-				offset += int64(n)
-				_, _ = t.buf.Write(chunk[:n])
-			}
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				_ = f.Close()
-				f = nil
-				break
-			}
+		// Stat the path before draining: whatever the writer appended to the
+		// open file before a rename is then in the drain below.
+		cur, pathErr := os.Stat(t.path)
+		if !t.drain(tf, chunk) {
+			return
 		}
+		if pathErr != nil || os.SameFile(info, cur) {
+			return
+		}
+		t.endLine(tf)
+		tf.close()
+	}
+}
+
+// drain copies the open file from the read position to EOF into the
+// buffer. On a read error it closes the file and reports false.
+func (t *Tailer) drain(tf *tailFile, chunk []byte) bool {
+	for {
+		n, err := tf.f.ReadAt(chunk, tf.offset)
+		if n > 0 {
+			tf.offset += int64(n)
+			tf.partial = chunk[n-1] != '\n'
+			_, _ = t.buf.Write(chunk[:n])
+		}
+		if err == io.EOF || (err == nil && n == 0) {
+			return true
+		}
+		if err != nil {
+			tf.close()
+			return false
+		}
+	}
+}
+
+// endLine ends an unterminated last line before the tail moves to other
+// content, so it is never joined to that content's first line.
+func (t *Tailer) endLine(tf *tailFile) {
+	if tf.partial {
+		_, _ = t.buf.Write([]byte{'\n'})
+		tf.partial = false
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -145,5 +146,154 @@ func TestTailerStopIsPrompt(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Stop did not return")
+	}
+}
+
+// TestTailerFollowsRenameRotation rotates the log the way log4j's
+// DailyRollingFileAppender does — rename the live file, open a new one under
+// the old name — and expects the tail to follow the new file.
+func TestTailerFollowsRenameRotation(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tt.log")
+	if err := os.WriteFile(path, []byte("line1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	buf := NewBuffer(0)
+	tail := NewTailer(path, buf, 10*time.Millisecond)
+	defer tail.Stop()
+	waitLines(t, buf, 1)
+
+	if err := os.Rename(path, path+".1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte("line2\nline3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lines := waitLines(t, buf, 3)
+	if want := []string{"line1", "line2", "line3"}; !slices.Equal(lines, want) {
+		t.Errorf("lines = %q, want %q", lines, want)
+	}
+}
+
+// TestTailerRotationEndsPartialLine rotates while the old file ends inside a
+// line: the fragment becomes a line of its own, never the head of the new
+// file's first line.
+func TestTailerRotationEndsPartialLine(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tt.log")
+	if err := os.WriteFile(path, []byte("line1\npart"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	buf := NewBuffer(0)
+	tl := &Tailer{path: path, buf: buf}
+	var tf tailFile
+	defer tf.close()
+	chunk := make([]byte, 4) // several reads per drain
+	tl.step(&tf, chunk)
+	if lines, _ := buf.ReadFrom(0); !slices.Equal(lines, []string{"line1"}) {
+		t.Fatalf("before rotation: lines = %q", lines)
+	}
+	if err := os.Rename(path, path+".1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte("line2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tl.step(&tf, chunk)
+	lines, _ := buf.ReadFrom(0)
+	if want := []string{"line1", "part", "line2"}; !slices.Equal(lines, want) {
+		t.Errorf("lines = %q, want %q", lines, want)
+	}
+}
+
+// TestTailerTwoRotationsInOnePoll rotates twice between two polls. The old
+// file is read to its end, including what was appended before the first
+// rename, and the tail then follows the file the path names now. The middle
+// file never sat under the path at a poll, so it is not read.
+func TestTailerTwoRotationsInOnePoll(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tt.log")
+	if err := os.WriteFile(path, []byte("a1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	buf := NewBuffer(0)
+	tl := &Tailer{path: path, buf: buf}
+	var tf tailFile
+	defer tf.close()
+	chunk := make([]byte, 64)
+	tl.step(&tf, chunk)
+
+	appendLine(t, path, "a2")
+	if err := os.Rename(path, path+".1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte("b1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(path, path+".2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte("c1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tl.step(&tf, chunk)
+	appendLine(t, path, "c2")
+	tl.step(&tf, chunk)
+	lines, _ := buf.ReadFrom(0)
+	if want := []string{"a1", "a2", "c1", "c2"}; !slices.Equal(lines, want) {
+		t.Errorf("lines = %q, want %q", lines, want)
+	}
+}
+
+// TestTailerRotatedFileNeverReappears renames the log away with no new file
+// behind it: the tail keeps following the renamed file, which its writer may
+// still hold open, and moves to a new file once one appears.
+func TestTailerRotatedFileNeverReappears(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tt.log")
+	w, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	buf := NewBuffer(0)
+	tl := &Tailer{path: path, buf: buf}
+	var tf tailFile
+	defer tf.close()
+	chunk := make([]byte, 64)
+
+	fmt.Fprintln(w, "a1")
+	tl.step(&tf, chunk)
+	if err := os.Rename(path, path+".1"); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintln(w, "a2")
+	for i := 0; i < 3; i++ {
+		tl.step(&tf, chunk)
+	}
+	fmt.Fprintln(w, "a3")
+	tl.step(&tf, chunk)
+	if lines, _ := buf.ReadFrom(0); !slices.Equal(lines, []string{"a1", "a2", "a3"}) {
+		t.Fatalf("while the path is missing: lines = %q", lines)
+	}
+	if err := os.WriteFile(path, []byte("n1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tl.step(&tf, chunk)
+	lines, _ := buf.ReadFrom(0)
+	if want := []string{"a1", "a2", "a3", "n1"}; !slices.Equal(lines, want) {
+		t.Errorf("lines = %q, want %q", lines, want)
+	}
+}
+
+func appendLine(t *testing.T, path, line string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintln(f, line)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -60,6 +60,16 @@ import (
 // wire = columnar each node's stream rides that connection. Whatever order
 // the pool's fetches complete in, results are merged in node-index order, so
 // output is identical to a serial sweep.
+//
+// The single-node rpc form joins the engine's collect phase
+// (core.InitContext.RegisterCollect): in step mode the daemon round trips
+// of every per-node sadc instance due in a Tick run 16 at a time before any
+// Run, instead of one per serial Run, and Run publishes the record the phase
+// fetched. Run fetches inline when the phase fetched nothing for its fire:
+// under Engine.Run, on a clock jump's catch-up fires, and when the instance
+// has a watchdog or a quarantine threshold. The multi-node form keeps its
+// sweep inside Run: it already fans out, and its record feeds the same
+// Run's merge.
 type sadcModule struct {
 	collectPlane
 	single  bool           // the node= form: output0 plus iface/pid extras
@@ -82,6 +92,9 @@ type sadcModule struct {
 	// are merged in node order after the concurrent sweep so output stays
 	// deterministic.
 	recs []*sadc.Record
+	// collected: the collect phase has fetched this fire's record into
+	// recs[0] / errs[0] (single-node rpc form).
+	collected bool
 }
 
 func (m *sadcModule) Init(ctx *core.InitContext) error {
@@ -147,6 +160,9 @@ func (m *sadcModule) Init(ctx *core.InitContext) error {
 		if err != nil {
 			return err
 		}
+		if m.single {
+			ctx.RegisterCollect(m.collectSingle)
+		}
 	}
 
 	if m.single {
@@ -199,15 +215,28 @@ func (m *sadcModule) Init(ctx *core.InitContext) error {
 	return ctx.SchedulePeriodic(cp.period)
 }
 
+// collectSingle is the single-node rpc form's collect function: one daemon
+// round trip into the instance's own scratch, run by the engine's collect
+// phase on a worker goroutine.
+func (m *sadcModule) collectSingle() {
+	m.recs[0], m.errs[0] = m.sources[0].Collect()
+	m.collected = true
+}
+
 func (m *sadcModule) Run(ctx *core.RunContext) error {
 	if ctx.Reason != core.RunPeriodic {
 		return nil
 	}
-	m.sweep(func(i int) {
-		if m.sources[i] != nil {
-			m.recs[i], m.errs[i] = m.sources[i].Collect()
-		}
-	}, func(ls *leaderSet) { ls.sweepSadc(m.recs, m.errs) })
+	if m.collected {
+		m.collected = false
+		m.observeBreakers()
+	} else {
+		m.sweep(func(i int) {
+			if m.sources[i] != nil {
+				m.recs[i], m.errs[i] = m.sources[i].Collect()
+			}
+		}, func(ls *leaderSet) { ls.sweepSadc(m.recs, m.errs) })
+	}
 	// Replayed tick: a restarted control node resumes at the persisted
 	// watermark; collection still runs (warming rate state), but nothing
 	// at or before an already-published timestamp is re-published.

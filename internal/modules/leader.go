@@ -167,7 +167,7 @@ func NewLeader(env *Env, opt LeaderOptions) (*Leader, error) {
 // before releasing p.mu, since the next sweep overwrites them.
 func (l *Leader) sweepSadcLocked() {
 	p := l.sadc
-	fanOut(len(p.nodes), p.width, func(i int) {
+	core.FanOut(len(p.nodes), p.width, func(i int) {
 		p.recs[i], p.errs[i] = p.metric[i].Collect()
 	})
 	p.tally()
@@ -177,7 +177,7 @@ func (l *Leader) sweepSadcLocked() {
 func (l *Leader) sweepLogLocked() {
 	p := l.log
 	now := p.env.now()
-	fanOut(len(p.nodes), p.width, func(i int) {
+	core.FanOut(len(p.nodes), p.width, func(i int) {
 		p.vecs[i], p.errs[i] = p.logs[i].Fetch(now)
 	})
 	p.tally()

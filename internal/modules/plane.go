@@ -28,6 +28,22 @@ type collectPlane struct {
 	errs    []error      // parallel to nodes
 }
 
+// resolveFanout turns a configured fanout (0 = default) into a concrete
+// worker count for n nodes: min(core.FanoutCap, n) by default.
+func resolveFanout(configured, n int) int {
+	w := configured
+	if w <= 0 {
+		w = core.FanoutCap
+	}
+	if w > n {
+		w = n
+	}
+	if w < 1 {
+		w = 1
+	}
+	return w
+}
+
 func newCollectPlane(env *Env, id string, nodes []string, fanout int) collectPlane {
 	return collectPlane{
 		env:   env,
@@ -137,8 +153,14 @@ func (p *collectPlane) sweep(fetch func(i int), delegated func(*leaderSet)) {
 			delegated(p.hier)
 		}()
 	}
-	fanOut(len(p.nodes), p.width, fetch)
+	core.FanOut(len(p.nodes), p.width, fetch)
 	wg.Wait()
+	p.observeBreakers()
+}
+
+// observeBreakers feeds the open-breaker count a sweep leaves behind to the
+// adaptive controller (rpc mode only).
+func (p *collectPlane) observeBreakers() {
 	if p.clients != nil {
 		open, total := p.breakers()
 		p.env.Adaptive.ObserveBreakers(p.id, open, total)

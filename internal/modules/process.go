@@ -31,6 +31,8 @@ type mavgvecModule struct {
 	sinceEmit  int
 	meanOut    *core.OutputPort
 	varOut     *core.OutputPort
+	in         *core.InputPort
+	drained    []core.Sample // reused ReadAppend buffer, cleared after each run
 
 	// multi is set in the multi-node (nodes =) form, which batches all
 	// nodes' smoothing into one flat-matrix pass per tick (batch.go).
@@ -70,7 +72,8 @@ func (m *mavgvecModule) Init(ctx *core.InitContext) error {
 	if len(inputs) != 1 {
 		return fmt.Errorf("mavgvec: want exactly 1 input, got %d", len(inputs))
 	}
-	origin := inputs[0].Origin()
+	m.in = inputs[0]
+	origin := m.in.Origin()
 	origin.Source = "mavgvec(" + origin.Source + ")"
 	if m.meanOut, err = ctx.NewOutput("output0", origin); err != nil {
 		return err
@@ -85,7 +88,9 @@ func (m *mavgvecModule) Run(ctx *core.RunContext) error {
 	if m.multi != nil {
 		return m.multi.run(ctx)
 	}
-	for _, s := range ctx.Inputs()[0].Read() {
+	m.drained = m.in.ReadAppend(m.drained[:0])
+	defer clear(m.drained)
+	for _, s := range m.drained {
 		if m.window == nil {
 			m.window = stats.NewVectorWindow(m.windowSize, len(s.Values))
 			m.meanScratch = make([]float64, len(s.Values))
@@ -123,8 +128,10 @@ var _ core.Module = (*mavgvecModule)(nil)
 //	                                     workers over 64-node blocks)
 type knnModule struct {
 	model   *analysis.Model
+	in      *core.InputPort
 	out     *core.OutputPort
-	scratch []float64 // classify scratch: projection/scaling workspace
+	scratch []float64     // classify scratch: projection/scaling workspace
+	drained []core.Sample // reused ReadAppend buffer, cleared after each run
 
 	// multi is set in the multi-node (nodes =) form, which batches all
 	// nodes' classification into one flat-matrix pass per tick (batch.go).
@@ -187,7 +194,8 @@ func (m *knnModule) Init(ctx *core.InitContext) error {
 	if len(inputs) != 1 {
 		return fmt.Errorf("knn: want exactly 1 input, got %d", len(inputs))
 	}
-	origin := inputs[0].Origin()
+	m.in = inputs[0]
+	origin := m.in.Origin()
 	origin.Source = "knn(" + origin.Source + ")"
 	origin.Metric = "state"
 	m.out, err = ctx.NewOutput("output0", origin)
@@ -198,7 +206,9 @@ func (m *knnModule) Run(ctx *core.RunContext) error {
 	if m.multi != nil {
 		return m.multi.run(ctx)
 	}
-	for _, s := range ctx.Inputs()[0].Read() {
+	m.drained = m.in.ReadAppend(m.drained[:0])
+	defer clear(m.drained)
+	for _, s := range m.drained {
 		if need := m.model.ScratchLen(s.Values); len(m.scratch) < need {
 			m.scratch = make([]float64, need)
 		}
@@ -229,9 +239,10 @@ var _ core.Module = (*knnModule)(nil)
 type ibufferModule struct {
 	env       *Env
 	size      int
-	pending   []core.Sample
+	pending   []core.Sample // reused ReadAppend buffer, cleared after each run
 	dropped   uint64
 	forwarded uint64
+	in        *core.InputPort
 	out       *core.OutputPort
 
 	mDropped *telemetry.Counter
@@ -253,26 +264,25 @@ func (m *ibufferModule) Init(ctx *core.InitContext) error {
 		m.mDropped = m.env.Metrics.Counter("asdf_ibuffer_dropped_total",
 			"Samples dropped by ibuffer overflow.", telemetry.L("instance", ctx.ID()))
 	}
-	m.out, err = ctx.NewOutput("output0", inputs[0].Origin())
+	m.in = inputs[0]
+	m.out, err = ctx.NewOutput("output0", m.in.Origin())
 	return err
 }
 
 func (m *ibufferModule) Run(ctx *core.RunContext) error {
-	for _, s := range ctx.Inputs()[0].Read() {
-		if len(m.pending) >= m.size {
-			m.pending = m.pending[1:]
-			m.dropped++
-			if m.mDropped != nil {
-				m.mDropped.Inc()
-			}
-		}
-		m.pending = append(m.pending, s)
+	m.pending = m.in.ReadAppend(m.pending[:0])
+	keep := m.pending
+	if over := len(keep) - m.size; over > 0 {
+		// Overflow: only the newest size samples are forwarded.
+		keep = keep[over:]
+		m.dropped += uint64(over)
+		m.mDropped.Add(uint64(over))
 	}
-	for _, s := range m.pending {
+	for _, s := range keep {
 		m.out.Publish(s)
 	}
-	m.forwarded += uint64(len(m.pending))
-	m.pending = m.pending[:0]
+	m.forwarded += uint64(len(keep))
+	clear(m.pending)
 	return nil
 }
 

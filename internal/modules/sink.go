@@ -41,6 +41,9 @@ type printModule struct {
 
 	// row is the reused line buffer.
 	row []byte
+
+	inputs  []*core.InputPort
+	drained []core.Sample // reused ReadAppend buffer, cleared after each input
 }
 
 func (m *printModule) Init(ctx *core.InitContext) error {
@@ -53,7 +56,7 @@ func (m *printModule) Init(ctx *core.InitContext) error {
 	if m.counters, err = cfg.BoolParam("counters", false); err != nil {
 		return err
 	}
-	if len(ctx.Inputs()) == 0 {
+	if m.inputs = ctx.Inputs(); len(m.inputs) == 0 {
 		return fmt.Errorf("print: requires at least one input")
 	}
 	return nil
@@ -61,13 +64,15 @@ func (m *printModule) Init(ctx *core.InitContext) error {
 
 func (m *printModule) Run(ctx *core.RunContext) error {
 	w := m.env.alarmWriter()
-	for _, in := range ctx.Inputs() {
-		for _, s := range in.Read() {
+	for _, in := range m.inputs {
+		m.drained = in.ReadAppend(m.drained[:0])
+		for _, s := range m.drained {
 			if m.onlyNonzero && s.Scalar() == 0 {
 				continue
 			}
 			m.writeRow(w, in.Origin(), s)
 		}
+		clear(m.drained)
 	}
 	if m.counters && ctx.Reason == core.RunFlush {
 		m.printCounters(w, ctx)
@@ -175,6 +180,9 @@ type csvModule struct {
 	w        *bufio.Writer
 	counters bool
 	rows     uint64
+
+	inputs  []*core.InputPort
+	drained []core.Sample // reused ReadAppend buffer, cleared after each input
 }
 
 func (m *csvModule) Init(ctx *core.InitContext) error {
@@ -186,7 +194,7 @@ func (m *csvModule) Init(ctx *core.InitContext) error {
 	if m.counters, err = ctx.Config().BoolParam("counters", false); err != nil {
 		return err
 	}
-	if len(ctx.Inputs()) == 0 {
+	if m.inputs = ctx.Inputs(); len(m.inputs) == 0 {
 		return fmt.Errorf("csv: requires at least one input")
 	}
 	f, err := os.Create(path)
@@ -202,8 +210,9 @@ func (m *csvModule) Init(ctx *core.InitContext) error {
 }
 
 func (m *csvModule) Run(ctx *core.RunContext) error {
-	for _, in := range ctx.Inputs() {
-		for _, s := range in.Read() {
+	for _, in := range m.inputs {
+		m.drained = in.ReadAppend(m.drained[:0])
+		for _, s := range m.drained {
 			origin := in.Origin()
 			vals := make([]string, len(s.Values), len(s.Values)+1)
 			for i, v := range s.Values {
@@ -217,10 +226,12 @@ func (m *csvModule) Run(ctx *core.RunContext) error {
 				origin.Node, origin.Source, in.SourceOutput(),
 				strings.Join(vals, ";"))
 			if err != nil {
+				clear(m.drained)
 				return fmt.Errorf("csv: %w", err)
 			}
 			m.rows++
 		}
+		clear(m.drained)
 	}
 	if m.counters && ctx.Reason == core.RunFlush {
 		if err := m.writeCounters(ctx); err != nil {
